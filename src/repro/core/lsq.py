@@ -25,18 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from typing import TYPE_CHECKING
-
 from ..mem.dcache import AccessStatus, DataCacheSystem
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..stats.counters import Stats
 from .config import CoreConfig
 from .uop import Uop
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..obs.critpath import CritPathRecorder
-    from ..obs.hotspots import HotspotRecorder
-    from ..validate.base import Validator
 
 _INFINITY = float("inf")
 
@@ -48,18 +40,12 @@ class LoadStoreQueue:
     """Age-ordered load and store queues."""
 
     def __init__(self, config: CoreConfig, dcache: DataCacheSystem,
-                 stats: Stats | None = None,
-                 tracer: Tracer | None = None,
-                 validator: "Validator | None" = None,
-                 critpath: "CritPathRecorder | None" = None,
-                 hotspots: "HotspotRecorder | None" = None) -> None:
+                 stats: Stats | None = None) -> None:
         self.config = config
         self.dcache = dcache
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._validate = validator
-        self._critpath = critpath
-        self._hotspots = hotspots
+        #: The core's probe (repro.obs.probe); ``None`` when off.
+        self.probe = None
         self.loads: list[Uop] = []
         self.stores: list[Uop] = []
         self._cycle = 0
@@ -122,10 +108,7 @@ class LoadStoreQueue:
             if not load.addr_known or load.mem_done:
                 continue
             if load.seq > barrier and not self.config.speculative_loads:
-                stats.inc("lsq.order_stalls")
-                load.lsq_block = "order"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "order_stalls")
+                self._wait(load, "order", "lsq.order_stalls")
                 continue
             action = self._store_forwarding(load, cycle)
             if action == "forward":
@@ -133,10 +116,7 @@ class LoadStoreQueue:
                 self._finish(load, cycle + 1, complete, "sq")
                 continue
             if action == "wait":
-                stats.inc("lsq.sq_waits")
-                load.lsq_block = "sq_wait"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "sq_waits")
+                self._wait(load, "sq_wait", "lsq.sq_waits")
                 continue
             wb_action = dcache.write_buffer_check(load.line, load.byte_mask)
             if wb_action == "forward":
@@ -144,10 +124,7 @@ class LoadStoreQueue:
                 self._finish(load, cycle + 1, complete, "wb")
                 continue
             if wb_action == "conflict":
-                stats.inc("lsq.wb_conflicts")
-                load.lsq_block = "wb_conflict"
-                if self._hotspots is not None:
-                    self._hotspots.note_lsq_wait(load, "wb_conflicts")
+                self._wait(load, "wb_conflict", "lsq.wb_conflicts")
                 continue
             if lb_reads < lb_cap and dcache.line_buffer_hit(load.line):
                 lb_reads += 1
@@ -157,6 +134,14 @@ class LoadStoreQueue:
                 continue
             port_requests.append(load)
         return port_requests
+
+    def _wait(self, load: Uop, block: str, stat: str) -> None:
+        """*load* waits this cycle: count it under *stat* and record
+        *block* as the reason."""
+        self.stats.inc(stat)
+        load.lsq_block = block
+        if self.probe is not None:
+            self.probe.on_lsq_wait(load, stat)
 
     def _schedule_ports(self, requests: list[Uop],
                         complete: CompleteLoad) -> None:
@@ -175,9 +160,8 @@ class LoadStoreQueue:
         else:
             batches = [[load] for load in requests]
         for index, batch in enumerate(batches):
-            if self._hotspots is not None:
-                # Per-access D-cache counters land on the batch leader.
-                dcache.access_context = batch[0].record
+            # Per-access D-cache events land on the batch leader.
+            dcache.access_context = batch[0].record
             result = dcache.load_access(batch[0].line)
             if result.status is AccessStatus.NO_PORT:
                 for blocked in batches[index:]:
@@ -196,30 +180,21 @@ class LoadStoreQueue:
             if len(batch) > 1:
                 stats.inc("lsq.combined_loads", len(batch) - 1)
                 stats.inc("lsq.combined_accesses")
-                if self._hotspots is not None:
-                    for load in batch[1:]:
-                        self._hotspots.note_lsq_combined(load)
+                if self.probe is not None:
+                    self.probe.on_lsq_combine(batch)
             for load in batch:
                 self._finish(load, result.ready, complete, result.source)
 
     def _finish(self, load: Uop, ready: int, complete: CompleteLoad,
                 source: str) -> None:
-        if self._critpath is not None:
-            # The block reason must be captured before it is cleared:
-            # it names the wait between address-ready and this grant.
-            self._critpath.note_mem(load.seq, self._cycle, ready, source,
-                                    load.lsq_block)
-        if self._hotspots is not None:
-            self._hotspots.note_lsq_service(load, source)
         load.mem_done = True
         load.mem_source = source
+        if self.probe is not None:
+            # Before the block reason is cleared: it names the wait
+            # between address-ready and this grant.
+            self.probe.on_load_serviced(self, load, ready, source,
+                                        self._cycle)
         load.lsq_block = None
-        if self.tracer.enabled:
-            self.tracer.emit(self._cycle, "lsq.load", seq=load.seq,
-                             line=load.line, source=source, ready=ready)
-        if self._validate is not None:
-            self._validate.on_load_serviced(self, load, ready, source,
-                                            self._cycle)
         complete(load, ready)
 
     # ------------------------------------------------------------------

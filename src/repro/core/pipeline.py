@@ -22,9 +22,9 @@ instruction advances at most one stage per cycle):
 from __future__ import annotations
 
 import os
-import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from ..func.exceptions import SimError
@@ -35,10 +35,11 @@ from ..obs.critpath import CritPathRecorder
 from ..obs.hotspots import HotspotRecorder
 from ..obs.metrics import IntervalMetrics
 from ..obs.pipetrace import PipeTrace
+from ..obs.probe import combine
 from ..obs.selfprof import SelfProfiler
 from ..obs.spans import SpanRecorder
 from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
 from ..trace.record import TraceRecord
@@ -90,6 +91,14 @@ def watchdog_limit(machine: MachineConfig) -> int:
 #: core that was not given an explicit validator — the switch CI uses
 #: to run the whole tier-1 suite under invariant checking.
 _ENV_VALIDATE = os.environ.get("REPRO_VALIDATE", "") not in ("", "0")
+
+#: Commit-block reason -> the stall counter it bumps.
+_COMMIT_BLOCK_STATS = {"store_port": "core.commit_store_port_stalls",
+                       "wb_full": "core.commit_wb_full_stalls"}
+
+#: Full structure at dispatch -> the stall counter it bumps.
+_DISPATCH_FULL_STATS = {name: f"core.dispatch_{name}_full"
+                        for name in ("rob", "iq", "lq", "sq")}
 
 
 @dataclass
@@ -147,48 +156,41 @@ class OoOCore:
         self.machine = machine
         self.cfg: CoreConfig = machine.core
         self.stats = Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._tracing = self.tracer.enabled
+        self.mem = MemorySystem(machine.mem, stats=self.stats)
+        self.bpred = BranchPredictor(self.cfg.bpred, stats=self.stats)
+        self.fu = FUPool(self.cfg.fu_specs, stats=self.stats)
+        self.lsq = LoadStoreQueue(self.cfg, self.mem.dcache,
+                                  stats=self.stats)
+        self.metrics = IntervalMetrics(
+            self.stats, ports=machine.mem.dcache.ports,
+            interval=metrics_interval) if metrics_interval else None
+        # The stage groups of one cycle, in order (the self-profiler's
+        # COMPONENTS).
+        self._stages = (self._events_stage, self._commit_stage,
+                        partial(self.lsq.schedule,
+                                complete=self._schedule_load_completion),
+                        self._drain_stage, self._issue_stage,
+                        self._dispatch_stage, self._fetch_stage)
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         if validator is None and _ENV_VALIDATE:
             from ..validate.invariants import InvariantChecker
-            validator = InvariantChecker(tracer=self.tracer, strict=True)
-        self._validate = validator
-        # Span tracing rides on the self-profiler's instrumented loop:
-        # the per-stage brackets it already takes are the span slices
-        # (one shared instrumentation layer, see repro.obs.selfprof).
+            validator = InvariantChecker(tracer=tracer, strict=True)
+        # A span recorder rides on the self-profiler, whose stage
+        # timings are the span slices.
         if spans is not None:
             if profiler is None:
                 profiler = SelfProfiler(spans=spans)
             elif profiler.spans is None:
                 profiler.spans = spans
-        self.spans = spans
-        self.mem = MemorySystem(machine.mem, stats=self.stats,
-                                tracer=self.tracer, spans=spans)
-        # Optional telemetry: interval time series, per-instruction
-        # pipeline trace, host-time self-profile.  All default off and
-        # cost one `is None` check (metrics/profiler: per cycle;
-        # pipe trace: per commit) when disabled.
-        self.metrics = IntervalMetrics(
-            self.stats, ports=machine.mem.dcache.ports,
-            interval=metrics_interval) if metrics_interval else None
-        self._pipe = pipe_trace
-        self.profiler = profiler
-        # Critical-path recorder: commit-time dependence-graph snapshots
-        # (see repro.obs.critpath).  Off by default; every hook site is
-        # a single `is None` check.
-        self._critpath = critpath
-        # Per-PC hotspot recorder: program-level attribution (see
-        # repro.obs.hotspots).  The D-cache carries its own reference
-        # so per-access counters land on the access-context PC.
-        self._hotspots = hotspots
-        if hotspots is not None:
-            self.mem.dcache.hotspots = hotspots
-        self.bpred = BranchPredictor(self.cfg.bpred, stats=self.stats)
-        self.fu = FUPool(self.cfg.fu_specs, stats=self.stats)
-        self.lsq = LoadStoreQueue(self.cfg, self.mem.dcache,
-                                  stats=self.stats, tracer=self.tracer,
-                                  validator=validator, critpath=critpath,
-                                  hotspots=hotspots)
+        if profiler is not None:
+            self._stages = profiler.timed(self._stages)
+        # Every recorder consumes one probe (repro.obs.probe), listed
+        # in fast-path rejection precedence order.
+        self.probe = combine([tracer, validator, self.metrics, pipe_trace,
+                              profiler, critpath, hotspots])
+        self.mem.attach(self.probe)
+        self.lsq.probe = self.probe
         # Stall attribution: one slot-conservation ledger per run.
         self.ledger = StallLedger(
             max(self.cfg.issue_width, self.cfg.commit_width),
@@ -239,36 +241,14 @@ class OoOCore:
             rejection = "fastpath=False requested"
         self.used_fastpath = use_fast
         self.fastpath_reason = None if use_fast else rejection
-        if self._critpath is not None:
-            self._critpath.begin_run(self.cfg)
-        if self._hotspots is not None:
-            self._hotspots.begin_run(self.cfg, self.mem.dcache)
-        if use_fast:
-            cycle = run_fast(self, trace)
-        elif self.profiler is not None:
-            recorder = self.profiler.spans
-            if recorder is not None:
-                recorder.begin("core.run", "sim",
-                               config=self.machine.name,
-                               records=len(trace))
-            start = time.perf_counter()
-            cycle = self._run_loop_profiled()
-            self.profiler.wall_time_s = time.perf_counter() - start
-            self.profiler.finish()
-            if recorder is not None:
-                recorder.end(cycles=cycle, instructions=self._committed)
-        else:
-            cycle = self._run_loop()
-        if self.metrics is not None:
-            self.metrics.finalize(self._committed)
-        if self._critpath is not None:
-            self._critpath.finalize(cycle, self._committed)
-        if self._hotspots is not None:
-            self._hotspots.finalize(cycle, self._committed)
+        probe = self.probe
+        if probe is not None:
+            probe.on_begin(self)
+        cycle = run_fast(self, trace) if use_fast else self._run_loop()
         digests = None
-        if self._validate is not None:
-            self._validate.on_drain(self, cycle)
-            digests = self._validate.digests()
+        if probe is not None:
+            probe.on_drain(self, cycle)
+            digests = probe.digests()
         self.stats.set("core.cycles", cycle)
         self.stats.set("core.committed", self._committed)
         for cause, slots in self.ledger.lost.items():
@@ -283,116 +263,40 @@ class OoOCore:
                           fastpath_reason=self.fastpath_reason)
 
     def _run_loop(self) -> int:
-        """The plain (unprofiled) per-cycle loop; returns final cycle."""
+        """The reference per-cycle loop; returns the final cycle."""
         total = len(self._trace)
-        metrics = self.metrics
+        probe = self.probe
+        events, commit, memory, drain, issue, dispatch, fetch = \
+            self._stages
         cycle = 0
         while self._trace_pos < total or self._rob or self._fetch_queue:
             self._cycle = cycle
-            self.mem.begin_cycle(cycle)
-            self.fu.begin_cycle(cycle)
-            self._process_events(cycle)
-            self._commit_stage(cycle)
-            self.lsq.schedule(cycle, self._schedule_load_completion)
-            self.mem.end_cycle()
-            self._issue_stage(cycle)
-            self._dispatch_stage(cycle)
-            self._fetch_stage(cycle)
-            if self._validate is not None:
-                self._validate.on_cycle(self, cycle)
-            if metrics is not None:
-                self._sample_metrics(metrics, cycle)
-            self._watchdog(cycle)
-            cycle += 1
-        return cycle
-
-    def _run_loop_profiled(self) -> int:
-        """The same loop with each stage group bracketed by host
-        timers feeding :class:`SelfProfiler` (see repro.obs.selfprof).
-        A separate loop so the default path pays nothing."""
-        total = len(self._trace)
-        profiler = self.profiler
-        metrics = self.metrics
-        perf = time.perf_counter
-        cycle = 0
-        while self._trace_pos < total or self._rob or self._fetch_queue:
-            self._cycle = cycle
-            t0 = perf()
-            self.mem.begin_cycle(cycle)
-            self.fu.begin_cycle(cycle)
-            self._process_events(cycle)
-            t1 = perf()
-            self._commit_stage(cycle)
-            t2 = perf()
-            self.lsq.schedule(cycle, self._schedule_load_completion)
-            t3 = perf()
-            self.mem.end_cycle()
-            t4 = perf()
-            self._issue_stage(cycle)
-            t5 = perf()
-            self._dispatch_stage(cycle)
-            t6 = perf()
-            self._fetch_stage(cycle)
-            t7 = perf()
-            profiler.add_cycle(cycle, (t1 - t0, t2 - t1, t3 - t2,
-                                       t4 - t3, t5 - t4, t6 - t5,
-                                       t7 - t6))
-            if self._validate is not None:
-                self._validate.on_cycle(self, cycle)
-            if metrics is not None:
-                self._sample_metrics(metrics, cycle)
-            self._watchdog(cycle)
+            events(cycle)
+            commit(cycle)
+            memory(cycle)
+            drain(cycle)
+            issue(cycle)
+            dispatch(cycle)
+            fetch(cycle)
+            if probe is not None:
+                probe.on_cycle_end(self, cycle)
+            if cycle - self._last_activity > self._watchdog_limit:
+                raise SimError(self._deadlock_report(cycle))
             cycle += 1
         return cycle
 
     def _fastpath_rejection(self) -> str | None:
-        """Why the fast loop cannot run, or ``None`` when it can.
-
-        The fast loop is observably identical to the reference loop
-        only with every instrumentation layer detached; the returned
-        reason is surfaced through :attr:`CoreResult.fastpath_reason`
-        into run/bench manifests.  Span recording rides on the profiler
-        (see ``__init__``), so the profiler check covers it."""
-        if self._tracing:
-            return "tracer attached"
-        if self._validate is not None:
-            return "validator attached"
-        if self.metrics is not None:
-            return "interval metrics attached"
-        if self._pipe is not None:
-            return "pipe trace attached"
-        if self.profiler is not None:
-            return "self-profiler attached"
-        if self._critpath is not None:
-            return "critpath recorder attached"
-        if self._hotspots is not None:
-            return "hotspots recorder attached"
-        return None
-
-    def _fastpath_eligible(self) -> bool:
-        """True iff no instrumentation is attached (see
-        :meth:`_fastpath_rejection`)."""
-        return self._fastpath_rejection() is None
-
-    def _watchdog(self, cycle: int) -> None:
-        """Single zero-progress check shared by both reference loops."""
-        if cycle - self._last_activity > self._watchdog_limit:
-            raise SimError(self._deadlock_report(cycle))
-
-    def _sample_metrics(self, metrics: IntervalMetrics,
-                        cycle: int) -> None:
-        """End-of-cycle occupancy/port sample (telemetry on only)."""
-        dcache = self.mem.dcache
-        metrics.on_cycle(cycle, self._committed,
-                         len(self._rob), len(self._iq),
-                         len(self.lsq.loads), len(self.lsq.stores),
-                         len(dcache.write_buffer), dcache.ports_used,
-                         dcache.mshrs_busy())
+        """Why the fast loop cannot run (it is observably identical to
+        the reference loop only with no probe attached), or ``None``;
+        surfaced through :attr:`CoreResult.fastpath_reason`."""
+        return None if self.probe is None else self.probe.reason
 
     # ------------------------------------------------------------------
     # 1. events
     # ------------------------------------------------------------------
-    def _process_events(self, cycle: int) -> None:
+    def _events_stage(self, cycle: int) -> None:
+        self.mem.begin_cycle(cycle)
+        self.fu.begin_cycle(cycle)
         for uop in self._events_addr.pop(cycle, ()):
             self._resolve_address(uop, cycle)
         for uop in self._events_complete.pop(cycle, ()):
@@ -441,11 +345,8 @@ class OoOCore:
             resume = cycle + self.cfg.bpred.mispredict_redirect
             if resume > self._fetch_blocked_until:
                 self._fetch_blocked_until = resume
-            if self._critpath is not None:
-                self._critpath.note_redirect(resume, "branch", uop.seq)
-            if self._tracing:
-                self.tracer.emit(cycle, "branch.resolve", pc=record.pc,
-                                 seq=uop.seq, resume=resume)
+            if self.probe is not None:
+                self.probe.on_redirect(cycle, resume, "branch", uop)
 
     # ------------------------------------------------------------------
     # 2. commit
@@ -453,6 +354,7 @@ class OoOCore:
     def _commit_stage(self, cycle: int) -> None:
         rob = self._rob
         dcache = self.mem.dcache
+        probe = self.probe
         direct_stores = self.machine.mem.dcache.write_buffer_depth == 0
         commits = 0
         commit_block: str | None = None
@@ -462,21 +364,15 @@ class OoOCore:
                 break
             if uop.is_store:
                 if direct_stores:
-                    if self._hotspots is not None:
-                        dcache.access_context = uop.record
-                    result = dcache.store_access(uop.line)
-                    if not result.ok:
-                        self.stats.inc("core.commit_store_port_stalls")
+                    dcache.access_context = uop.record
+                    if not dcache.store_access(uop.line).ok:
                         commit_block = "store_port"
-                        if self._critpath is not None:
-                            self._critpath.note_commit_block(
-                                uop.seq, "store_port")
-                        break
                 elif not dcache.buffer_store(uop.line, uop.byte_mask):
-                    self.stats.inc("core.commit_wb_full_stalls")
                     commit_block = "wb_full"
-                    if self._critpath is not None:
-                        self._critpath.note_commit_block(uop.seq, "wb_full")
+                if commit_block is not None:
+                    self.stats.inc(_COMMIT_BLOCK_STATS[commit_block])
+                    if probe is not None:
+                        probe.on_commit_block(uop, commit_block)
                     break
                 self.lsq.retire_store(uop)
             elif uop.is_load:
@@ -484,28 +380,19 @@ class OoOCore:
             rob.popleft()
             commits += 1
             self._committed += 1
-            if self._pipe is not None:
-                self._pipe.record_commit(uop, cycle)
-            if self._validate is not None:
-                self._validate.on_commit(uop, cycle)
             if uop is self._waiting_serialize:
                 self._waiting_serialize = None
                 self._fetch_block_cause = StallCause.SERIALIZE
                 resume = cycle + 1
                 if resume > self._fetch_blocked_until:
                     self._fetch_blocked_until = resume
-                if self._critpath is not None:
-                    self._critpath.note_redirect(resume, "serialize",
-                                                 uop.seq)
-            if self._critpath is not None:
-                self._critpath.record_commit(uop, cycle)
-            if self._hotspots is not None:
-                self._hotspots.record_commit(uop)
+                if probe is not None:
+                    probe.on_redirect(cycle, resume, "serialize", uop)
+            if probe is not None:
+                probe.on_commit(uop, cycle)
         if commits:
             self._last_activity = cycle
             self.stats.inc("core.commits", commits)
-            if self._tracing:
-                self.tracer.emit(cycle, "commit", n=commits)
         self._attribute_cycle(cycle, commits, commit_block)
 
     # ------------------------------------------------------------------
@@ -515,19 +402,16 @@ class OoOCore:
                          commit_block: str | None) -> None:
         """Charge this cycle's lost issue slots to one cause."""
         ledger = self.ledger
+        cause = None
         if commits >= ledger.width:
             ledger.account(cycle, commits, StallCause.DRAIN)  # nothing lost
-            return
-        cause = self._classify_stall(cycle, commit_block)
-        ledger.account(cycle, commits, cause)
-        if self._hotspots is not None:
-            # Charge the lost slots to the commit-head PC the classifier
-            # blamed (empty window: the recorder's frontend bucket).
-            self._hotspots.note_stall(cause, ledger.width - commits,
-                                      self._rob[0] if self._rob else None)
-        if self._tracing:
-            self.tracer.emit(cycle, "stall", cause=cause.value,
-                             lost=ledger.width - commits)
+        else:
+            cause = self._classify_stall(cycle, commit_block)
+            ledger.account(cycle, commits, cause)
+        if self.probe is not None:
+            self.probe.on_stall(cycle, commits, cause,
+                                ledger.width - commits,
+                                self._rob[0] if self._rob else None)
 
     def _classify_stall(self, cycle: int,
                         commit_block: str | None) -> StallCause:
@@ -576,6 +460,12 @@ class OoOCore:
         return StallCause.FETCH
 
     # ------------------------------------------------------------------
+    # 3. memory (the LSQ schedules loads; see __init__)
+    # ------------------------------------------------------------------
+    def _drain_stage(self, cycle: int) -> None:
+        self.mem.end_cycle()
+
+    # ------------------------------------------------------------------
     # 4. issue
     # ------------------------------------------------------------------
     def _issue_stage(self, cycle: int) -> None:
@@ -613,29 +503,20 @@ class OoOCore:
             uop = fq[0]
             if uop.fetch_cycle + cfg.decode_latency > cycle:
                 break
+            full = None
             if len(self._rob) >= cfg.rob_size:
-                self.stats.inc("core.dispatch_rob_full")
-                self.ledger.note_capacity("rob")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "rob")
-                break
-            if len(self._iq) >= cfg.iq_size:
-                self.stats.inc("core.dispatch_iq_full")
-                self.ledger.note_capacity("iq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "iq")
-                break
-            if uop.is_load and self.lsq.lq_full:
-                self.stats.inc("core.dispatch_lq_full")
-                self.ledger.note_capacity("lq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "lq")
-                break
-            if uop.is_store and self.lsq.sq_full:
-                self.stats.inc("core.dispatch_sq_full")
-                self.ledger.note_capacity("sq")
-                if self._critpath is not None:
-                    self._critpath.note_dispatch_block(uop.seq, "sq")
+                full = "rob"
+            elif len(self._iq) >= cfg.iq_size:
+                full = "iq"
+            elif uop.is_load and self.lsq.lq_full:
+                full = "lq"
+            elif uop.is_store and self.lsq.sq_full:
+                full = "sq"
+            if full is not None:
+                self.stats.inc(_DISPATCH_FULL_STATS[full])
+                self.ledger.note_capacity(full)
+                if self.probe is not None:
+                    self.probe.on_dispatch_block(uop, full)
                 break
             fq.popleft()
             self._wire_dependences(uop)
@@ -693,8 +574,8 @@ class OoOCore:
                 uop.operands_ready = when
             return
         producer.consumers.append((uop, is_data))
-        if self._critpath is not None:
-            self._critpath.note_dep(uop.seq, producer.seq, is_data)
+        if self.probe is not None:
+            self.probe.on_dep(uop, producer, is_data)
         if is_data:
             uop.data_waiting += 1
         else:
@@ -785,9 +666,9 @@ class OoOCore:
             if not correct:
                 uop.mispredicted = True
                 self._waiting_branch = uop
-                if self._tracing:
-                    self.tracer.emit(cycle, "fetch.mispredict",
-                                     pc=record.pc, seq=uop.seq)
+                if self.probe is not None:
+                    self.probe.emit(cycle, "fetch.mispredict",
+                                    pc=record.pc, seq=uop.seq)
                 return True
             return record.taken  # a taken branch ends the fetch block
         # Unconditional transfers.
@@ -802,9 +683,9 @@ class OoOCore:
             self._fetch_blocked_until = cycle + 1 + cfg.btb_miss_redirect
             self._fetch_block_cause = StallCause.BRANCH
             self.stats.inc("fetch.jump_decode_redirects")
-            if self._critpath is not None:
-                self._critpath.note_redirect(self._fetch_blocked_until,
-                                             "decode", uop.seq)
+            if self.probe is not None:
+                self.probe.on_redirect(cycle, self._fetch_blocked_until,
+                                       "decode", uop)
             return True
         # Register-indirect target: wait for execute.
         uop.mispredicted = True

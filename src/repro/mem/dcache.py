@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..stats.counters import Stats
 from .cache import SetAssocCache
 from .config import DCacheConfig, LineBufferFill
@@ -65,12 +64,10 @@ class DataCacheSystem:
     """Port-accurate L1 D-cache front end."""
 
     def __init__(self, config: DCacheConfig, next_level: NextLevel,
-                 stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 stats: Stats | None = None) -> None:
         self.config = config
         self.next_level = next_level
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = SetAssocCache(config.geometry, name="dcache",
                                    stats=self.stats)
         self.line_size = config.geometry.line_size
@@ -81,13 +78,11 @@ class DataCacheSystem:
         if config.has_line_buffer:
             self.line_buffer = LineBuffer(config.line_buffer_entries,
                                           config.line_buffer_on_store,
-                                          name="lb", stats=self.stats,
-                                          tracer=self.tracer)
+                                          name="lb", stats=self.stats)
         self.write_buffer = WriteBuffer(config.write_buffer_depth,
                                         config.combine_stores,
                                         self.line_size, name="wb",
-                                        stats=self.stats,
-                                        tracer=self.tracer)
+                                        stats=self.stats)
         self.victim_cache: VictimCache | None = None
         if config.victim_entries:
             self.victim_cache = VictimCache(config.victim_entries,
@@ -97,14 +92,13 @@ class DataCacheSystem:
         self._ports_used = 0
         self._bank_mask = config.banks - 1
         self._banks_used: set[int] = set()
-        # Per-PC hotspot attribution (see repro.obs.hotspots): the LSQ /
-        # commit stage set `access_context` to the access's batch-leader
-        # trace record before a port access; write-buffer drains clear
-        # it (no program context).  Both stay None unless a recorder is
-        # attached, so the default cost is one `is None` check per
-        # counter site.
-        self.hotspots = None
+        # The access in progress: the LSQ / commit stage set it to the
+        # access's batch-leader trace record before a port access;
+        # write-buffer drains clear it (no program context).  Probe
+        # events carry it so recorders can attribute per PC.
         self.access_context = None
+        #: The core's probe (repro.obs.probe); ``None`` when off.
+        self.probe = None
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -160,26 +154,29 @@ class DataCacheSystem:
         cycle = self._cycle
         return sum(1 for ready in self._pending.values() if ready > cycle)
 
+    def _count(self, stat: str) -> None:
+        """Bump one per-access ``dcache.*`` counter and report it."""
+        self.stats.inc(stat)
+        if self.probe is not None:
+            self.probe.on_dcache_counter(self.access_context, stat)
+
     def _claim_port(self, line: int) -> AccessStatus:
         if self._ports_used >= self.config.ports:
             return AccessStatus.NO_PORT
         if not self.bank_free(line):
-            self.stats.inc("dcache.bank_conflicts")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "bank_conflicts")
+            self._count("dcache.bank_conflicts")
             return AccessStatus.BANK_CONFLICT
         self._ports_used += 1
         if self._bank_mask:
             self._banks_used.add(self.bank_of(line))
         self.stats.inc("dcache.port_uses")
-        if self.hotspots is not None:
-            self.hotspots.note_dcache_port(self.access_context,
-                                           self._ports_used - 1)
+        if self.probe is not None:
+            self.probe.on_dcache_port(self.access_context,
+                                      self._ports_used - 1)
         return AccessStatus.OK
 
     # ------------------------------------------------------------------
-    # Processor-side probes (consume no port)
+    # Processor-side lookups (consume no port)
     # ------------------------------------------------------------------
     def line_buffer_hit(self, line: int) -> bool:
         """Can a load to *line* be serviced from the line buffer now?"""
@@ -204,88 +201,59 @@ class DataCacheSystem:
         """One load port access covering one chunk of *line*."""
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:
-            self.stats.inc("dcache.load_no_port")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_no_port")
+            self._count("dcache.load_no_port")
             return AccessResult(claim)
         cycle = self._cycle
         pending_ready = self._pending.get(line, 0)
         if pending_ready > cycle:
-            self.stats.inc("dcache.load_secondary_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_secondary_misses")
+            self._count("dcache.load_secondary_misses")
             ready = pending_ready
             source = "secondary"
         elif self.cache.lookup(line):
-            self.stats.inc("dcache.load_hits")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context, "load_hits")
+            self._count("dcache.load_hits")
             ready = cycle + self.config.hit_latency
             source = "hit"
         else:
             if self.mshrs_busy() >= self.config.mshrs:
-                self.stats.inc("dcache.load_mshr_full")
-                if self.hotspots is not None:
-                    self.hotspots.note_dcache(self.access_context,
-                                              "load_mshr_full")
+                self._count("dcache.load_mshr_full")
                 return AccessResult(AccessStatus.MSHR_FULL)
-            self.stats.inc("dcache.load_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "load_misses")
+            self._count("dcache.load_misses")
             ready = self._start_fill(line)
             source = "miss"
             self._maybe_prefetch(line + 1)
         if self.config.line_buffer_fill is LineBufferFill.ON_ACCESS and \
                 self.line_buffer is not None:
             self.line_buffer.insert(line)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "dcache.load", line=line, source=source,
-                             ready=ready)
+        if self.probe is not None:
+            self.probe.emit(cycle, "dcache.load", line=line, source=source,
+                            ready=ready)
         return AccessResult(AccessStatus.OK, ready, source)
 
     def store_access(self, line: int) -> AccessResult:
         """Write one (possibly combined) line's worth of store data."""
         claim = self._claim_port(line)
         if claim is not AccessStatus.OK:
-            self.stats.inc("dcache.store_no_port")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_no_port")
+            self._count("dcache.store_no_port")
             return AccessResult(claim)
         cycle = self._cycle
         pending_ready = self._pending.get(line, 0)
         if pending_ready > cycle:
             # Merge into the in-flight fill; data lands with the line.
-            self.stats.inc("dcache.store_mshr_merges")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_mshr_merges")
+            self._count("dcache.store_mshr_merges")
             self.cache.mark_dirty(line)
         elif self.cache.lookup(line):
-            self.stats.inc("dcache.store_hits")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_hits")
+            self._count("dcache.store_hits")
             self.cache.mark_dirty(line)
         else:
             if self.mshrs_busy() >= self.config.mshrs:
-                self.stats.inc("dcache.store_mshr_full")
-                if self.hotspots is not None:
-                    self.hotspots.note_dcache(self.access_context,
-                                              "store_mshr_full")
+                self._count("dcache.store_mshr_full")
                 return AccessResult(AccessStatus.MSHR_FULL)
-            self.stats.inc("dcache.store_misses")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "store_misses")
+            self._count("dcache.store_misses")
             self._start_fill(line, dirty=True)
         if self.line_buffer is not None:
             self.line_buffer.note_store(line)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "dcache.store", line=line)
+        if self.probe is not None:
+            self.probe.emit(cycle, "dcache.store", line=line)
         return AccessResult(AccessStatus.OK, cycle + 1)
 
     def _maybe_prefetch(self, line: int) -> None:
@@ -299,9 +267,7 @@ class DataCacheSystem:
             return
         if self.mshrs_busy() >= self.config.mshrs:
             return
-        self.stats.inc("dcache.prefetches")
-        if self.hotspots is not None:
-            self.hotspots.note_dcache(self.access_context, "prefetches")
+        self._count("dcache.prefetches")
         self._start_fill(line)
 
     def _start_fill(self, line: int, dirty: bool = False) -> int:
@@ -310,17 +276,19 @@ class DataCacheSystem:
         recovered = None if self.victim_cache is None else \
             self.victim_cache.extract(line)
         if recovered is not None:
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "victim_hits")
+            if self.probe is not None:
+                # Counted by the victim cache itself (victim.hits); the
+                # event attributes the hit to the access.
+                self.probe.on_dcache_counter(self.access_context,
+                                             "dcache.victim_hits")
             ready = self._cycle + self.config.victim_latency
             dirty = dirty or recovered
         else:
             ready = self.next_level.request(line, self._cycle)
         self._pending[line] = ready
-        if self.tracer.enabled:
-            self.tracer.emit(self._cycle, "dcache.fill", line=line,
-                             ready=ready, victim=recovered is not None)
+        if self.probe is not None:
+            self.probe.emit(self._cycle, "dcache.fill", line=line,
+                            ready=ready, victim=recovered is not None)
         victim = self.cache.fill(line, dirty=dirty)
         if victim is not None:
             self._dispose_victim(*victim)
@@ -338,10 +306,7 @@ class DataCacheSystem:
                 return
             victim_line, victim_dirty = pushed_out  # overflow writes back
         if victim_dirty:
-            self.stats.inc("dcache.writebacks")
-            if self.hotspots is not None:
-                self.hotspots.note_dcache(self.access_context,
-                                          "writebacks")
+            self._count("dcache.writebacks")
             self.next_level.writeback(victim_line, self._cycle)
 
     # ------------------------------------------------------------------
@@ -353,10 +318,8 @@ class DataCacheSystem:
 
     def drain_write_buffer(self) -> None:
         """Spend leftover port cycles emptying the write buffer."""
-        if self.hotspots is not None:
-            # Retired stores drain asynchronously; their port traffic
-            # lands in the recorder's unattributed bucket.
-            self.access_context = None
+        # Retired stores drain asynchronously: no program context.
+        self.access_context = None
         while self.ports_free() > 0:
             entry = self.write_buffer.head()
             if entry is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..stats.counters import Stats
 from .config import LineBufferOnStore
 
@@ -25,15 +24,15 @@ class LineBuffer:
     """Fully-associative LRU buffer of line numbers."""
 
     def __init__(self, entries: int, on_store: LineBufferOnStore,
-                 name: str = "lb", stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 name: str = "lb", stats: Stats | None = None) -> None:
         if entries < 1:
             raise ValueError("line buffer needs at least one entry")
         self.entries = entries
         self.on_store = on_store
         self.name = name
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The core's probe (repro.obs.probe); ``None`` when off.
+        self.probe = None
         #: Kept in step by the owning cache's ``begin_cycle``.
         self.cycle = 0
         self._lines: OrderedDict[int, None] = OrderedDict()
@@ -42,7 +41,7 @@ class LineBuffer:
         return len(self._lines)
 
     def contains(self, line: int) -> bool:
-        """Non-mutating probe: no LRU refresh, no stats (validation)."""
+        """Non-mutating lookup: no LRU refresh, no stats (validation)."""
         return line in self._lines
 
     def lookup(self, line: int) -> bool:
@@ -64,9 +63,9 @@ class LineBuffer:
             evicted = self._lines.popitem(last=False)[0]
         self._lines[line] = None
         self.stats.inc(f"{self.name}.fills")
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "lb.insert", line=line,
-                             evicted=evicted)
+        if self.probe is not None:
+            self.probe.emit(self.cycle, "lb.insert", line=line,
+                            evicted=evicted)
 
     def note_store(self, line: int) -> None:
         """Apply the configured store policy to a matching entry."""
@@ -75,9 +74,9 @@ class LineBuffer:
         if self.on_store is LineBufferOnStore.INVALIDATE:
             del self._lines[line]
             self.stats.inc(f"{self.name}.store_invalidations")
-            if self.tracer.enabled:
-                self.tracer.emit(self.cycle, "lb.invalidate", line=line,
-                                 reason="store")
+            if self.probe is not None:
+                self.probe.emit(self.cycle, "lb.invalidate", line=line,
+                                reason="store")
         else:
             self._lines.move_to_end(line)
             self.stats.inc(f"{self.name}.store_updates")

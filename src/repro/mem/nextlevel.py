@@ -24,6 +24,8 @@ class NextLevel:
         self.cache = SetAssocCache(config.geometry, name="l2",
                                    stats=self.stats)
         self._next_free = 0
+        #: The core's probe (repro.obs.probe); ``None`` when off.
+        self.probe = None
 
     def request(self, line: int, cycle: int) -> int:
         """An L1 miss fill request; returns the data-ready cycle."""
@@ -32,20 +34,27 @@ class NextLevel:
         queue_delay = start - cycle
         self.stats.inc("l2.requests")
         self.stats.inc("l2.queue_delay", queue_delay)
+        ready = start + self.config.hit_latency
         if self.cache.lookup(line):
             self.stats.inc("l2.hits")
-            return start + self.config.hit_latency
-        self.stats.inc("l2.misses")
-        victim = self.cache.fill(line)
-        if victim is not None and victim[1]:
-            self.stats.inc("l2.writebacks")
-        return start + self.config.hit_latency + self.config.memory_latency
+        else:
+            self.stats.inc("l2.misses")
+            victim = self.cache.fill(line)
+            if victim is not None and victim[1]:
+                self.stats.inc("l2.writebacks")
+            ready += self.config.memory_latency
+        if self.probe is not None:
+            self.probe.on_mem("mem.refill", line=line, cycle=cycle,
+                              latency=ready - cycle)
+        return ready
 
     def writeback(self, line: int, cycle: int) -> None:
         """A dirty L1 victim arrives; occupies the L2 but returns no data."""
         start = max(cycle, self._next_free)
         self._next_free = start + self.config.occupancy
         self.stats.inc("l2.l1_writebacks")
+        if self.probe is not None:
+            self.probe.on_mem("mem.writeback", line=line, cycle=cycle)
         if self.cache.lookup(line):
             self.cache.mark_dirty(line)
             return

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs.tracer import NULL_TRACER, Tracer
 from ..stats.counters import Stats
 
 
@@ -31,8 +30,7 @@ class WriteBuffer:
     """FIFO store buffer with optional same-line combining."""
 
     def __init__(self, depth: int, combine: bool, line_size: int,
-                 name: str = "wb", stats: Stats | None = None,
-                 tracer: Tracer | None = None) -> None:
+                 name: str = "wb", stats: Stats | None = None) -> None:
         if depth < 0:
             raise ValueError("depth cannot be negative")
         self.depth = depth
@@ -40,7 +38,8 @@ class WriteBuffer:
         self.line_size = line_size
         self.name = name
         self.stats = stats if stats is not None else Stats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The core's probe (repro.obs.probe); ``None`` when off.
+        self.probe = None
         #: Kept in step by the owning cache's ``begin_cycle`` so trace
         #: events carry the simulation cycle.
         self.cycle = 0
@@ -77,19 +76,19 @@ class WriteBuffer:
                 if entry.line == line:
                     entry.byte_mask |= byte_mask
                     self.stats.inc(f"{self.name}.combined")
-                    if self.tracer.enabled:
-                        self.tracer.emit(self.cycle, "wb.add", line=line,
-                                         merged=True)
+                    if self.probe is not None:
+                        self.probe.emit(self.cycle, "wb.add", line=line,
+                                        merged=True)
                     return True
         if self.full:
             self.stats.inc(f"{self.name}.full_stalls")
-            if self.tracer.enabled:
-                self.tracer.emit(self.cycle, "wb.full", line=line)
+            if self.probe is not None:
+                self.probe.emit(self.cycle, "wb.full", line=line)
             return False
         self._entries.append(WriteBufferEntry(line, byte_mask))
         self.stats.inc(f"{self.name}.entries_allocated")
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "wb.add", line=line, merged=False)
+        if self.probe is not None:
+            self.probe.emit(self.cycle, "wb.add", line=line, merged=False)
         return True
 
     def head(self) -> WriteBufferEntry | None:
@@ -100,14 +99,14 @@ class WriteBuffer:
         """Remove and return the oldest entry."""
         self.stats.inc(f"{self.name}.drains")
         entry = self._entries.pop(0)
-        if self.tracer.enabled:
-            self.tracer.emit(self.cycle, "wb.drain", line=entry.line,
-                             occupancy=len(self._entries))
+        if self.probe is not None:
+            self.probe.emit(self.cycle, "wb.drain", line=entry.line,
+                            occupancy=len(self._entries))
         return entry
 
     # ------------------------------------------------------------------
     def covers(self, line: int, byte_mask: int) -> bool:
-        """Non-counting probe: would a load at (*line*, *byte_mask*)
+        """Non-counting check: would a load at (*line*, *byte_mask*)
         forward from a buffered entry?  Used by the validation layer,
         which must not perturb the ``load_check`` statistics."""
         return any(entry.line == line and

@@ -7,10 +7,11 @@ Three layers, all optional from the timing core's point of view:
   lost issue slots are charged to exactly one cause (fetch, branch,
   cache port, next-level latency, ...), so the ledger is *conservative*:
   attributed lost slots + committed uops == cycles × width.
-* :mod:`repro.obs.tracer` — an opt-in **structured event tracer**.
-  Call sites are guarded on ``tracer.enabled`` so a disabled tracer
-  costs one attribute check; an enabled :class:`JsonlTracer` streams
-  one JSON object per event (optionally gzipped).
+* :mod:`repro.obs.probe` — the **one attach point**: every recorder
+  below that watches the timing model is a :class:`Probe` consumer.
+* :mod:`repro.obs.tracer` — an opt-in **structured event tracer**; an
+  enabled :class:`JsonlTracer` streams one JSON object per event
+  (optionally gzipped).
 * :mod:`repro.obs.report` — versioned **machine-readable run reports**
   combining configuration, counters, the stall ledger and host
   throughput, for ``repro simulate --json`` / ``repro experiment

@@ -6,9 +6,9 @@ aggregates.  This module answers the program-level question the paper's
 whole argument turns on: *which static memory reference* burns the port
 cycles, and is it kernel or user code?
 
-A :class:`HotspotRecorder` attaches to the timing core the same way the
-tracer, metrics and critpath recorders do (zero overhead when off:
-every call site is a single ``is None`` check) and accumulates, per
+A :class:`HotspotRecorder` is a probe consumer (:mod:`repro.obs.probe`),
+attached to the timing core the same way the tracer, metrics and
+critpath recorders are, and accumulates, per
 static PC **and privilege level** (the PR 9 kernel layout marks every
 trace record ``kernel``/user):
 
@@ -60,14 +60,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .codeversion import code_version
+from .probe import Probe
 from .report import SchemaError, _check_code_version, _dcache_dict, _require
 from .stall import CAUSE_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.config import CoreConfig
-    from ..core.pipeline import CoreResult
+    from ..core.lsq import LoadStoreQueue
+    from ..core.pipeline import CoreResult, OoOCore
     from ..core.uop import Uop
-    from ..mem.dcache import DataCacheSystem
+    from .stall import StallCause
     from ..trace.record import TraceRecord
 
 #: Version of the hotspots manifest schema.
@@ -100,7 +101,6 @@ DCACHE_COUNTERS = ("port_uses", "bank_conflicts", "load_no_port",
 
 _DCACHE_STAT_NAMES = {name: f"dcache.{name}" for name in DCACHE_COUNTERS}
 _DCACHE_STAT_NAMES["victim_hits"] = "victim.hits"
-
 #: ``Uop.mem_source`` -> the per-load LSQ service counter it tallies.
 _SOURCE_COUNTER = {
     "sq": "sq_forwards",
@@ -150,13 +150,15 @@ class _Row:
         self.lines_full = False
 
 
-class HotspotRecorder:
+class HotspotRecorder(Probe):
     """Streams per-PC execution/memory/stall attribution.
 
     Attach via ``OoOCore(machine, hotspots=recorder)``; after ``run()``
-    the core calls :meth:`finalize` and the rows are available through
-    :meth:`rows` / :meth:`as_dict`.  One recorder serves one run.
+    the rows are available through :meth:`rows` / :meth:`as_dict`.
+    One recorder serves one run.
     """
+
+    reason = "hotspots recorder attached"
 
     def __init__(self) -> None:
         self._rows: dict[tuple[int, bool], _Row] = {}
@@ -174,16 +176,14 @@ class HotspotRecorder:
         self._finalized = False
 
     # ------------------------------------------------------------------
-    # Core/LSQ/D-cache hooks (every call site is behind one `is None`)
+    # Probe events
     # ------------------------------------------------------------------
-    def begin_run(self, cfg: "CoreConfig",
-                  dcache: "DataCacheSystem") -> None:
+    def on_begin(self, core: "OoOCore") -> None:
         """Capture the cache geometry the address-stream analyzer keys
-        on (line size, banking, set count, port count); called once at
-        ``run()`` entry."""
+        on (line size, banking, set count, port count)."""
         if self._finalized:
             raise ValueError("a HotspotRecorder serves exactly one run")
-        del cfg  # geometry is all the analyzer needs today
+        dcache = core.mem.dcache
         self._line_shift = dcache.line_shift
         self._num_banks = dcache.config.banks
         self._bank_mask = dcache.config.banks - 1
@@ -200,7 +200,7 @@ class HotspotRecorder:
                                          self._num_ports)
         return row
 
-    def record_commit(self, uop: "Uop") -> None:
+    def on_commit(self, uop: "Uop", cycle: int) -> None:
         """One instruction retired: count the execution and feed the
         address-stream analyzer for memory PCs."""
         record = uop.record
@@ -239,42 +239,45 @@ class HotspotRecorder:
         else:
             row.lines_full = True
 
-    def note_stall(self, cause, lost: int, uop: "Uop | None") -> None:
-        """The ledger charged *lost* slots to *cause* this cycle; *uop*
-        is the commit head it blamed (``None``: empty window, the
-        frontend bucket takes the slots)."""
-        if uop is None:
+    def on_stall(self, cycle: int, commits: int,
+                 cause: "StallCause | None", lost: int,
+                 head: "Uop | None") -> None:
+        """Charge lost slots to the commit-head PC the classifier
+        blamed (empty window: the frontend bucket)."""
+        if cause is None:
+            return
+        if head is None:
             value = cause.value
             self._frontend[value] = self._frontend.get(value, 0) + lost
             return
-        row = self._row(uop.record)
+        row = self._row(head.record)
         value = cause.value
         row.stall[value] = row.stall.get(value, 0) + lost
 
-    def note_lsq_wait(self, uop: "Uop", counter: str) -> None:
-        """The LSQ skipped this load for a cycle (``order_stalls`` /
-        ``sq_waits`` / ``wb_conflicts``, mirroring ``lsq.*``)."""
-        lsq = self._row(uop.record).lsq
+    def on_lsq_wait(self, load: "Uop", stat: str) -> None:
+        counter = stat.partition(".")[2]  # lsq.<counter>
+        lsq = self._row(load.record).lsq
         lsq[counter] = lsq.get(counter, 0) + 1
 
-    def note_lsq_service(self, uop: "Uop", source: str) -> None:
-        """The LSQ serviced this load from *source* (the
-        ``Uop.mem_source`` vocabulary)."""
+    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
+                         ready: int, source: str, cycle: int) -> None:
         counter = _SOURCE_COUNTER.get(source)
         if counter is None:
             return
-        lsq = self._row(uop.record).lsq
-        lsq[counter] = lsq.get(counter, 0) + 1
+        counters = self._row(load.record).lsq
+        counters[counter] = counters.get(counter, 0) + 1
 
-    def note_lsq_combined(self, uop: "Uop") -> None:
-        """This load rode another load's port access (combining win)."""
-        lsq = self._row(uop.record).lsq
-        lsq["combined_loads"] = lsq.get("combined_loads", 0) + 1
+    def on_lsq_combine(self, batch: "list[Uop]") -> None:
+        for load in batch[1:]:
+            lsq = self._row(load.record).lsq
+            lsq["combined_loads"] = lsq.get("combined_loads", 0) + 1
 
-    def note_dcache(self, record: "TraceRecord | None",
-                    counter: str) -> None:
-        """One D-cache event attributed to the access context *record*
-        (``None``: a write-buffer drain, the unattributed bucket)."""
+    def on_dcache_counter(self, record: "TraceRecord | None",
+                          stat: str) -> None:
+        """Attribute one ``dcache.*`` event to the access's batch-leader
+        *record* (``None``: a write-buffer drain, the unattributed
+        bucket)."""
+        counter = stat.partition(".")[2]  # dcache.<counter>
         if record is None:
             bucket = self._unattributed
             bucket[counter] = bucket.get(counter, 0) + 1
@@ -282,9 +285,8 @@ class HotspotRecorder:
         dcache = self._row(record).dcache
         dcache[counter] = dcache.get(counter, 0) + 1
 
-    def note_dcache_port(self, record: "TraceRecord | None",
-                         port: int) -> None:
-        """One real port access went through physical port *port*."""
+    def on_dcache_port(self, record: "TraceRecord | None",
+                       port: int) -> None:
         if record is None:
             bucket = self._unattributed
             bucket["port_uses"] = bucket.get("port_uses", 0) + 1
@@ -294,12 +296,11 @@ class HotspotRecorder:
         row.dcache["port_uses"] = row.dcache.get("port_uses", 0) + 1
         row.ports[port] += 1
 
-    def finalize(self, cycles: int, instructions: int) -> None:
-        """Close the recorder; called by the core after its loop drains."""
+    def on_drain(self, core: "OoOCore", cycle: int) -> None:
         if self._finalized:
             return
-        self.total_cycles = cycles
-        self.instructions = instructions
+        self.total_cycles = cycle
+        self.instructions = core._committed
         self._finalized = True
 
     # ------------------------------------------------------------------

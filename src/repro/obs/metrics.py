@@ -1,8 +1,9 @@
 """Interval time-series telemetry: how the run behaved *over time*.
 
 End-of-run counters answer "how much"; this module answers "when".
-When enabled, the timing core calls :meth:`IntervalMetrics.on_cycle`
-once per simulated cycle and the collector:
+When enabled, the collector (a :mod:`repro.obs.probe` consumer)
+samples the core at every cycle end through
+:meth:`IntervalMetrics.on_cycle`, and:
 
 * samples structure occupancies (ROB, IQ, LQ, SQ, write buffer), cache
   ports in use, and busy MSHRs into exact run-level
@@ -25,15 +26,20 @@ series is a partition of the end-of-run value:
 
 :meth:`check_conservation` verifies all of this and the test suite
 asserts it over the full F2 headline grid.  Telemetry is off by
-default: a run without it pays a single ``is None`` check per cycle.
+default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
+from .probe import Probe
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.pipeline import OoOCore
 
 #: Default sampling interval, in cycles (matches the stall ledger).
 DEFAULT_METRICS_INTERVAL = 1024
@@ -84,8 +90,10 @@ class Interval:
         return self.committed / self.cycles if self.cycles else 0.0
 
 
-class IntervalMetrics:
+class IntervalMetrics(Probe):
     """Per-interval telemetry collector (one per simulation run)."""
+
+    reason = "interval metrics attached"
 
     def __init__(self, stats: Stats, ports: int,
                  interval: int = DEFAULT_METRICS_INTERVAL,
@@ -114,7 +122,7 @@ class IntervalMetrics:
     def on_cycle(self, cycle: int, committed: int, rob: int, iq: int,
                  lq: int, sq: int, wb: int, ports_used: int,
                  mshr_busy: int) -> None:
-        """Sample one finished cycle (called by the timing core)."""
+        """Sample one finished cycle."""
         samples = (rob, iq, lq, sq, wb, ports_used, mshr_busy)
         sums = self._occ_sums
         for index, (hist, value) in enumerate(zip(self._hists, samples)):
@@ -123,6 +131,17 @@ class IntervalMetrics:
         self._cycles += 1
         if self._cycles == self.interval:
             self._close(committed)
+
+    def on_cycle_end(self, core: "OoOCore", cycle: int) -> None:
+        dcache = core.mem.dcache
+        lsq = core.lsq
+        self.on_cycle(cycle, core._committed, len(core._rob),
+                      len(core._iq), len(lsq.loads), len(lsq.stores),
+                      len(dcache.write_buffer), dcache.ports_used,
+                      dcache.mshrs_busy())
+
+    def on_drain(self, core: "OoOCore", cycle: int) -> None:
+        self.finalize(core._committed)
 
     def finalize(self, committed: int) -> None:
         """Close the trailing partial interval (end of run)."""

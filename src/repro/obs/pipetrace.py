@@ -8,9 +8,9 @@ per-instruction stage timings lets port-arbitration behaviour be
 X (execute/memory) segment, a store stuck behind a full write buffer as
 a stretched C (completed, waiting to commit) segment.
 
-The timing core records one :class:`PipeRecord` per committed
-instruction when a :class:`PipeTrace` collector is attached (off by
-default — the hot loop pays one ``is None`` check).  :meth:`write`
+A :class:`PipeTrace` is a probe consumer (:mod:`repro.obs.probe`):
+it records one :class:`PipeRecord` per committed instruction from the
+core's commit event.  :meth:`write`
 renders the Kanata text; :func:`parse_konata` is the matching reader
 used by the round-trip tests and by anyone post-processing traces.
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.uop import Uop
@@ -74,14 +76,16 @@ class PipeRecord:
         return starts
 
 
-class PipeTrace:
+class PipeTrace(Probe):
     """Collects committed-instruction stage timings for export."""
+
+    reason = "pipe trace attached"
 
     def __init__(self) -> None:
         self.records: list[PipeRecord] = []
 
-    def record_commit(self, uop: "Uop", cycle: int) -> None:
-        """Called by the timing core as *uop* retires at *cycle*."""
+    def on_commit(self, uop: "Uop", cycle: int) -> None:
+        """*uop* retires at *cycle*."""
         record = uop.record
         instr = record.instr
         text = str(instr) if instr is not None else \

@@ -6,9 +6,10 @@ simulator component, per sampling interval, so the performance
 trajectory of the reproduction itself — not just of the simulated
 machine — gets measured and archived (``BENCH_*.json`` artefacts).
 
-When a :class:`SelfProfiler` is attached, the timing core switches to
-an instrumented run loop that brackets each pipeline stage group with
-``perf_counter`` and charges the elapsed time to one component:
+A :class:`SelfProfiler` is a probe consumer (:mod:`repro.obs.probe`):
+the timing core runs its stage groups through :meth:`SelfProfiler.timed`,
+which brackets each with ``perf_counter`` and charges the elapsed time
+to one component:
 
 ==============  ====================================================
 ``events``      FU/AGU completion events, cycle bookkeeping
@@ -21,23 +22,30 @@ an instrumented run loop that brackets each pipeline stage group with
 ==============  ====================================================
 
 ``other`` (reported, not a component) is the loop's untimed residue:
-``wall_time - sum(components)``.  Profiling is opt-in; the default run
-loop is untouched and pays nothing.
+``wall_time - sum(components)``.  Profiling is opt-in; an unprofiled
+run calls the stages directly and pays nothing.
 
 The profiler is also the pipeline's **span instrumentation layer**:
-hand it a :class:`~repro.obs.spans.SpanRecorder` and every completed
-sampling interval is emitted as one ``pipeline.chunk`` span whose
-children are the per-component slices — the same attribution the
-report carries, on a Perfetto timeline (see ``repro simulate
---spans``).  The report output is unchanged either way.
+hand it a :class:`~repro.obs.spans.SpanRecorder` and the run becomes a
+``core.run`` span, every completed sampling interval one
+``pipeline.chunk`` span whose children are the per-component slices —
+the same attribution the report carries, on a Perfetto timeline (see
+``repro simulate --spans``) — and every next-level refill or writeback
+a ``mem`` instant.  The report output is unchanged either way.
 """
 
 from __future__ import annotations
 
 import json
+import time
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .metrics import DEFAULT_METRICS_INTERVAL
+from .probe import Probe
 from .spans import SpanRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.pipeline import OoOCore
 
 SELFPROFILE_SCHEMA = "repro.selfprofile/1"
 
@@ -46,9 +54,11 @@ COMPONENTS = ("events", "commit", "lsq", "writebuffer", "issue",
               "dispatch", "fetch")
 
 
-class SelfProfiler:
+class SelfProfiler(Probe):
     """Per-interval host-seconds accounting, one bucket list per
     component."""
+
+    reason = "self-profiler attached"
 
     def __init__(self, interval: int = DEFAULT_METRICS_INTERVAL,
                  spans: SpanRecorder | None = None) -> None:
@@ -63,9 +73,47 @@ class SelfProfiler:
         self._span_bucket: int | None = None
         self._span_start_us = 0
         self._span_first_cycle = 0
+        self._samples = [0.0] * len(COMPONENTS)
+        self._start = 0.0
 
     # ------------------------------------------------------------------
-    def add_cycle(self, cycle: int, samples: tuple[float, ...]) -> None:
+    def timed(self, stages: tuple[Callable[[int], None], ...]) -> tuple:
+        """Wrap the core's stage groups (ordered as :data:`COMPONENTS`)
+        with host timers; the samples are charged at cycle end."""
+        perf = time.perf_counter
+        samples = self._samples
+
+        def timer(index: int, stage: Callable[[int], None]) -> Callable:
+            def run(cycle: int) -> None:
+                start = perf()
+                stage(cycle)
+                samples[index] = perf() - start
+            return run
+
+        return tuple(timer(index, stage)
+                     for index, stage in enumerate(stages))
+
+    def on_begin(self, core: "OoOCore") -> None:
+        if self.spans is not None:
+            self.spans.begin("core.run", "sim", config=core.machine.name,
+                             records=len(core._trace))
+        self._start = time.perf_counter()
+
+    def on_cycle_end(self, core: "OoOCore", cycle: int) -> None:
+        self.add_cycle(cycle, self._samples)
+
+    def on_mem(self, event: str, **fields: object) -> None:
+        if self.spans is not None:
+            self.spans.instant(event, "mem", **fields)
+
+    def on_drain(self, core: "OoOCore", cycle: int) -> None:
+        self.wall_time_s = time.perf_counter() - self._start
+        self.finish()
+        if self.spans is not None:
+            self.spans.end(cycles=cycle, instructions=core._committed)
+
+    # ------------------------------------------------------------------
+    def add_cycle(self, cycle: int, samples: "Sequence[float]") -> None:
         """Charge one cycle's per-component stage timings (seconds,
         ordered as :data:`COMPONENTS`)."""
         bucket = cycle // self.interval

@@ -10,9 +10,10 @@ so a capture loads directly into Perfetto (https://ui.perfetto.dev) or
 The discipline matches the rest of the observability layer — zero
 overhead when off:
 
-* components that are handed a recorder explicitly (the timing core,
-  the experiment engine) guard call sites with a single ``is None``
-  check;
+* the timing core reaches its recorder through the self-profiler on
+  its probe (:mod:`repro.obs.selfprof`); the experiment engine is
+  handed a recorder explicitly and guards call sites with a single
+  ``is None`` check;
 * components too far from the call chain to thread a parameter through
   (the workload suite's trace cache) consult the context-local
   *current recorder* (:func:`current`), which is ``None`` by default.

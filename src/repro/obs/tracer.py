@@ -1,15 +1,10 @@
 """Structured event tracing: opt-in, zero overhead when off.
 
-Every instrumented component holds a :class:`Tracer`.  The default is
-the shared :data:`NULL_TRACER`, whose class attribute ``enabled`` is
-``False`` — call sites are written as::
-
-    if self.tracer.enabled:
-        self.tracer.emit(cycle, "wb.add", line=line, merged=True)
-
-so a disabled tracer costs a single attribute check and *never* formats
-the event.  :class:`JsonlTracer` streams one compact JSON object per
-event to a file (gzipped when the path ends in ``.gz``)::
+A :class:`Tracer` is a probe consumer (:mod:`repro.obs.probe`) whose
+``emit`` is the probe's trace event; the core attaches one only when
+``enabled`` is true, so the default :data:`NULL_TRACER` costs nothing.
+:class:`JsonlTracer` streams one compact JSON object per event to a
+file (gzipped when the path ends in ``.gz``)::
 
     {"cycle": 412, "event": "wb.add", "line": 8197, "merged": true}
 
@@ -26,6 +21,14 @@ import io
 import json
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from .probe import Probe
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.lsq import LoadStoreQueue
+    from ..core.uop import Uop
+    from .stall import StallCause
 
 
 #: Every event a simulation can emit, mapped to the tuple of
@@ -51,14 +54,34 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
-class Tracer:
+class Tracer(Probe):
     """Base tracer; also the disabled no-op implementation."""
 
-    #: Class attribute so the hot-path guard is one LOAD_ATTR + jump.
+    reason = "tracer attached"
+    #: Only an enabled tracer is attached to a core.
     enabled = False
 
     def emit(self, cycle: int, event: str, **fields: object) -> None:
         """Record one event (no-op unless overridden)."""
+
+    def on_stall(self, cycle: int, commits: int,
+                 cause: "StallCause | None", lost: int,
+                 head: "Uop | None") -> None:
+        if commits:
+            self.emit(cycle, "commit", n=commits)
+        if cause is not None:
+            self.emit(cycle, "stall", cause=cause.value, lost=lost)
+
+    def on_redirect(self, cycle: int, resume: int, kind: str,
+                    uop: "Uop") -> None:
+        if kind == "branch":
+            self.emit(cycle, "branch.resolve", pc=uop.record.pc,
+                      seq=uop.seq, resume=resume)
+
+    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
+                         ready: int, source: str, cycle: int) -> None:
+        self.emit(cycle, "lsq.load", seq=load.seq, line=load.line,
+                  source=source, ready=ready)
 
     def close(self) -> None:
         """Flush and release any underlying resources."""

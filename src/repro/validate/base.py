@@ -1,10 +1,10 @@
 """Validator plumbing shared by the golden-model and invariant checkers.
 
-A :class:`Validator` plugs into :class:`repro.core.pipeline.OoOCore`
-through four hooks — per committed uop, per serviced load, per cycle,
-and once at drain — following the repo's zero-overhead-when-off
-discipline: the core holds ``None`` by default and every hook site is a
-single ``is None`` check.
+A :class:`Validator` is a :class:`repro.obs.probe.Probe` consumer: it
+attaches to :class:`repro.core.pipeline.OoOCore` through the core's one
+probe and overrides the events it checks — typically per committed
+uop, per serviced load, per cycle end, and once at drain.  The core
+holds no probe by default, so an unvalidated run pays nothing.
 
 Violations are collected (bounded) and, when a tracer is attached,
 emitted as ``validate.violation`` events so they land in the same JSONL
@@ -15,15 +15,9 @@ violation into a :class:`ValidationError` so CI fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from ..func.exceptions import SimError
+from ..obs.probe import Probe, ProbeFanout
 from ..obs.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..core.lsq import LoadStoreQueue
-    from ..core.pipeline import OoOCore
-    from ..core.uop import Uop
 
 #: Default cap on collected violations — a broken invariant usually
 #: fires every cycle, and the first few instances carry all the signal.
@@ -54,8 +48,10 @@ class ValidationError(SimError):
         self.violation = violation
 
 
-class Validator:
-    """Base class: no-op hooks plus violation bookkeeping."""
+class Validator(Probe):
+    """Base class: a probe consumer with violation bookkeeping."""
+
+    reason = "validator attached"
 
     def __init__(self, tracer: Tracer | None = None, strict: bool = False,
                  max_violations: int = MAX_VIOLATIONS) -> None:
@@ -63,26 +59,6 @@ class Validator:
         self.strict = strict
         self.max_violations = max_violations
         self.violations: list[Violation] = []
-
-    # -- hook points (called by the core when a validator is attached) --
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
-        """One uop left the ROB head this cycle."""
-
-    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                         ready: int, source: str, cycle: int) -> None:
-        """The LSQ routed a load (``source`` names where the data
-        comes from: sq/wb/lb/hit/miss/secondary)."""
-
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
-        """End of one simulated cycle (all stages done)."""
-
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
-        """The run loop exited; the machine should be empty."""
-
-    def digests(self) -> dict[str, str] | None:
-        """Architectural end-state digests, when the validator tracks
-        them (the golden checker does; invariant checking does not)."""
-        return None
 
     # -- reporting -----------------------------------------------------
     def report(self, cycle: int, check: str, detail: str) -> None:
@@ -102,44 +78,20 @@ class Validator:
         return not self.violations
 
 
-class ValidationSuite(Validator):
-    """Fans every hook out to a list of child validators."""
+class ValidationSuite(ProbeFanout, Validator):
+    """Fans every event out to a list of child validators."""
 
     def __init__(self, children: list[Validator]) -> None:
-        super().__init__()
-        self.children = list(children)
-
-    def on_commit(self, uop: "Uop", cycle: int) -> None:
-        for child in self.children:
-            child.on_commit(uop, cycle)
-
-    def on_load_serviced(self, lsq: "LoadStoreQueue", load: "Uop",
-                         ready: int, source: str, cycle: int) -> None:
-        for child in self.children:
-            child.on_load_serviced(lsq, load, ready, source, cycle)
-
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
-        for child in self.children:
-            child.on_cycle(core, cycle)
-
-    def on_drain(self, core: "OoOCore", cycle: int) -> None:
-        for child in self.children:
-            child.on_drain(core, cycle)
-
-    def digests(self) -> dict[str, str] | None:
-        for child in self.children:
-            digests = child.digests()
-            if digests is not None:
-                return digests
-        return None
+        Validator.__init__(self)
+        ProbeFanout.__init__(self, children)
 
     @property
     def all_violations(self) -> list[Violation]:
         collected = list(self.violations)
-        for child in self.children:
+        for child in self.consumers:
             collected.extend(child.violations)
         return collected
 
     @property
     def ok(self) -> bool:
-        return all(child.ok for child in self.children)
+        return all(child.ok for child in self.consumers)

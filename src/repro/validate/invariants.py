@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class InvariantChecker(Validator):
-    """Checks the structural invariants above on every hook."""
+    """Checks the structural invariants above on every probe event."""
 
     def __init__(self, tracer=None, strict: bool = False,
                  max_violations: int = MAX_VIOLATIONS) -> None:
@@ -103,7 +103,7 @@ class InvariantChecker(Validator):
         return False
 
     # ------------------------------------------------------------------
-    def on_cycle(self, core: "OoOCore", cycle: int) -> None:
+    def on_cycle_end(self, core: "OoOCore", cycle: int) -> None:
         cfg = core.cfg
         dcache = core.mem.dcache
         dconf = dcache.config

@@ -158,4 +158,62 @@ def test_env_validate_forces_reference_loop(stream_trace, monkeypatch):
     core = OoOCore(machine("1P"))
     core.run(stream_trace)
     assert not core.used_fastpath
-    assert core._validate is not None
+    assert core.probe is not None
+
+
+def _recorders(names):
+    """Fresh recorders for *names*, as OoOCore keyword arguments."""
+    import io
+
+    from repro.obs.critpath import CritPathRecorder
+    from repro.obs.hotspots import HotspotRecorder
+    from repro.obs.pipetrace import PipeTrace
+    from repro.obs.selfprof import SelfProfiler
+    from repro.obs.spans import SpanRecorder
+    from repro.obs.tracer import NULL_TRACER, JsonlTracer
+    from repro.validate import InvariantChecker
+    factories = {
+        "tracer": ("tracer", lambda: JsonlTracer(io.StringIO())),
+        "null_tracer": ("tracer", lambda: NULL_TRACER),
+        "validator": ("validator", InvariantChecker),
+        "metrics": ("metrics_interval", lambda: 64),
+        "pipe": ("pipe_trace", PipeTrace),
+        "profiler": ("profiler", SelfProfiler),
+        "spans": ("spans", SpanRecorder),
+        "critpath": ("critpath", CritPathRecorder),
+        "hotspots": ("hotspots", HotspotRecorder),
+    }
+    return {factories[name][0]: factories[name][1]() for name in names}
+
+
+#: Several recorders at once: the reason names the first in precedence
+#: order (tracer, validator, metrics, pipe trace, self-profiler,
+#: critpath, hotspots).  A disabled tracer is not attached at all.
+REASON_PRECEDENCE = [
+    (("hotspots", "tracer"), "tracer attached"),
+    (("critpath", "metrics", "validator"), "validator attached"),
+    (("hotspots", "pipe", "metrics"), "interval metrics attached"),
+    (("profiler", "pipe"), "pipe trace attached"),
+    (("hotspots", "critpath", "spans"), "self-profiler attached"),
+    (("hotspots", "critpath"), "critpath recorder attached"),
+    (("hotspots", "null_tracer"), "hotspots recorder attached"),
+]
+
+
+@pytest.mark.parametrize("names,reason", REASON_PRECEDENCE)
+def test_fastpath_reason_precedence(names, reason, stream_trace,
+                                    monkeypatch):
+    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+    result = OoOCore(machine("1P"), **_recorders(names)).run(stream_trace)
+    assert not result.used_fastpath
+    assert result.fastpath_reason == reason
+    with pytest.raises(ValueError, match=reason):
+        OoOCore(machine("1P"), fastpath=True,
+                **_recorders(names)).run(stream_trace)
+
+
+def test_disabled_tracer_keeps_fastpath(stream_trace, monkeypatch):
+    monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
+    result = OoOCore(machine("1P"),
+                     **_recorders(("null_tracer",))).run(stream_trace)
+    assert result.used_fastpath and result.fastpath_reason is None

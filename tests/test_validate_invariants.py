@@ -45,7 +45,7 @@ class TestCleanRuns:
         # suite itself runs under REPRO_VALIDATE=1.
         monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
         core = OoOCore(machine("1P"))
-        assert core._validate is None
+        assert core.probe is None
 
 
 class TestInjectedBug:
@@ -81,8 +81,8 @@ class TestEnvironmentWiring:
         import repro.core.pipeline as pipeline
         monkeypatch.setattr(pipeline, "_ENV_VALIDATE", True)
         core = OoOCore(machine("1P"))
-        assert isinstance(core._validate, InvariantChecker)
-        assert core._validate.strict
+        assert isinstance(core.probe, InvariantChecker)
+        assert core.probe.strict
         core.run(qsort_trace)  # clean run: strict checker stays silent
 
     def test_explicit_validator_wins_over_env(self, monkeypatch):
@@ -90,7 +90,7 @@ class TestEnvironmentWiring:
         monkeypatch.setattr(pipeline, "_ENV_VALIDATE", True)
         checker = InvariantChecker()
         core = OoOCore(machine("1P"), validator=checker)
-        assert core._validate is checker
+        assert core.probe is checker
 
 
 class TestViolationType:
