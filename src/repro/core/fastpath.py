@@ -16,8 +16,9 @@ flattened re-statement of the same machine:
   instead of ~20 ``STORE_ATTR`` per instruction, constant-index
   subscripts instead of attribute lookups in the wakeup loops);
 * per-record decode work (opclass index, fetch block, cache line /
-  chunk / byte mask, the dependence-wiring plan) is batched into one
-  O(n) precompute pass over the trace;
+  chunk / byte mask, the dependence-wiring plan) is derived from the
+  trace's columns (:class:`repro.trace.io.Trace`) with vector ops and
+  cached on the trace, so a configuration sweep pays for it once;
 * functional-unit arbitration uses per-opclass int-indexed arrays, so
   the issue loop never hashes an enum;
 * statistics, the stall ledger and the load-latency histogram
@@ -44,17 +45,19 @@ to the instrumented reference loop.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..func.exceptions import SimError
-from ..isa import Opcode, OpClass
-from ..isa.opcodes import Bank
+from ..isa import OpClass
 from ..mem.config import LineBufferFill, LineBufferOnStore
 from ..obs.stall import CAUSE_ORDER, StallCause
 from ..stats.histogram import Histogram
+from ..trace.io import MAX_SOURCES, NO_DEST, NO_SPLIT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..trace.record import TraceRecord
+    from ..trace.io import Trace
     from .pipeline import OoOCore
 
 __all__ = ["run_fast"]
@@ -125,149 +128,152 @@ _K_JUMP = 2
 _K_SERIALIZE = 3
 
 
-def _record_serializes(record: "TraceRecord") -> bool:
-    instr = record.instr
-    if instr is None:
-        return record.serializes
-    return instr.opcode in (Opcode.SYSCALL, Opcode.ERET)
+_BRANCH_ID = _OPC_INDEX[OpClass.BRANCH]
+_SYSTEM_ID = _OPC_INDEX[OpClass.SYSTEM]
+
+#: Geometries whose arrays one trace keeps (a port sweep uses two:
+#: the 8-byte-port machines and the 16-byte ``1P-wide`` one).
+_GEOMETRIES_KEPT = 2
+
+#: Traces that keep their derived arrays, least recently used first.
+#: The arrays live on each trace; this only bounds how many traces
+#: hold them, so a study over many cached traces does not pin a few
+#: hundred bytes per record for every one of them.
+_TRACES_KEPT = 2
+_recent_traces: list = []
 
 
-def _precompute(trace: Sequence["TraceRecord"], line_shift: int,
-                chunk_shift: int, line_size: int,
-                fetch_bytes: int) -> tuple:
-    """One pass over the trace: everything derivable from a record
-    alone, so the cycle loop only touches flat int arrays."""
+def _trace_arrays(trace: "Trace") -> tuple:
+    """Everything the loop needs that no cache geometry affects:
+    opclass index, fetch kind, decode redirect, pc/next-pc, taken,
+    load/store, and the dependence plan.  Read from the columns only."""
     n = len(trace)
-    r_opc = [0] * n
-    r_kind = [0] * n
-    r_jdec = [False] * n
-    r_pc = [0] * n
-    r_npc = [0] * n
-    r_taken = [False] * n
-    r_block = [0] * n
-    r_load = [False] * n
-    r_store = [False] * n
-    r_line = [0] * n
-    r_chunk = [0] * n
-    r_mask = [0] * n
+    opclass = trace.opclass
+    pc = trace.pc
+    npc = trace.next_pc
+    is_control = trace.is_control
+    is_branch = opclass == _BRANCH_ID
+    is_store = trace.is_store
+    kind = np.where(
+        is_control, np.where(is_branch, _K_BRANCH, _K_JUMP),
+        np.where((npc != pc + 4) | ((opclass == _SYSTEM_ID)
+                                    & trace.serializes),
+                 _K_SERIALIZE, _K_PLAIN))
+    jdec = is_control & ~is_branch & trace.decode_redirect
+    # Resolve register names to static producer indices: dispatch
+    # order is trace order, so the last earlier writer of a register is
+    # exactly what the dynamic scoreboard would hold.  Writer keys
+    # register * n + position sort register-major; the producer of
+    # source register r at position i is the greatest key below
+    # r * n + i, if that key still names r.  The -1 sentinel keeps the
+    # lookup in bounds.
+    positions = np.arange(n, dtype=np.int64)
+    writes = trace.dest != NO_DEST
+    keys = np.concatenate((
+        [-1], np.sort(trace.dest[writes].astype(np.int64) * n
+                      + positions[writes])))
+    r_is_prod = np.zeros(n, dtype=bool)
+    slots = []
+    for slot in range(MAX_SOURCES):
+        base = trace.src[:, slot].astype(np.int64) * n
+        candidate = keys[np.searchsorted(keys, base + positions) - 1]
+        found = (trace.nsrc > slot) & (candidate >= base)
+        producer = candidate - base
+        r_is_prod[producer[found]] = True
+        # A store's sources are address operands up to its persisted
+        # split (unknown: the first one), store data after it.
+        is_data = is_store & np.where(trace.naddr == NO_SPLIT,
+                                      slot > 0, slot >= trace.naddr)
+        slots.append((found, producer, is_data))
+    (found0, prod0, data0), (found1, prod1, data1) = slots
     r_prod: list[tuple] = [()] * n
-    r_is_prod = [False] * n
-    r_proto: list[list] = [None] * n  # type: ignore[list-item]
-    # tuple.index with identity fast-path beats hashing the enum (the
-    # pure-Python enum.__hash__ would dominate this pass).
-    opcs = _OPCS
-    branch_cls = OpClass.BRANCH
-    system_cls = OpClass.SYSTEM
-    offset_mask = line_size - 1
-    last_writer: dict = {}
-    for i, record in enumerate(trace):
-        pc = record.pc
-        opclass = record.opclass
-        r_opc[i] = opcs.index(opclass)
-        r_pc[i] = pc
-        npc = record.next_pc
-        r_npc[i] = npc
-        r_taken[i] = record.taken
-        r_block[i] = pc // fetch_bytes
-        is_store = record.is_store
-        is_load = record.is_load
-        r_load[i] = is_load
-        r_store[i] = is_store
-        if is_load or is_store:
-            address = record.mem_addr
-            offset = address & offset_mask
-            if offset + record.mem_size > line_size:
-                raise ValueError("access crosses the line boundary")
-            r_line[i] = address >> line_shift
-            r_chunk[i] = address >> chunk_shift
-            r_mask[i] = ((1 << record.mem_size) - 1) << offset
-        instr = record.instr
-        if is_store:
-            if instr is not None:
-                deps = []
-                if instr.rs1 != 0:
-                    deps.append((instr.rs1, False))
-                info = instr.info
-                if not (info.rs2_bank is Bank.INT and instr.rs2 == 0):
-                    deps.append((instr.rs2, True))
-            elif record.store_addr_count >= 0:
-                count = record.store_addr_count
-                deps = [(reg, position >= count)
-                        for position, reg
-                        in enumerate(record.sources)]
-            else:
-                deps = [(reg, position > 0)
-                        for position, reg
-                        in enumerate(record.sources)]
-        else:
-            deps = [(reg, False) for reg in record.sources]
-        # Resolve register names to static producer indices: dispatch
-        # order is trace order, so the last earlier writer of a
-        # register is exactly what the dynamic scoreboard would hold.
-        if deps:
-            prods = []
-            for reg, is_data in deps:
-                producer_index = last_writer.get(reg)
-                if producer_index is not None:
-                    prods.append((producer_index, is_data))
-                    r_is_prod[producer_index] = True
-            if prods:
-                r_prod[i] = tuple(prods)
-        if record.dest is not None:
-            last_writer[record.dest] = i
-        if record.is_control:
-            if opclass is branch_cls:
-                r_kind[i] = _K_BRANCH
-            else:
-                r_kind[i] = _K_JUMP
-                opcode = instr.opcode if instr is not None else None
-                r_jdec[i] = opcode in (Opcode.J, Opcode.JAL) or \
-                    (instr is None and record.decode_redirect)
-        elif npc != pc + 4 or \
-                opclass is system_cls and _record_serializes(record):
-            r_kind[i] = _K_SERIALIZE
+    for found, producer, is_data in ((found0 & ~found1, prod0, data0),
+                                     (~found0 & found1, prod1, data1)):
+        index = np.flatnonzero(found)
+        for i, p, d in zip(index.tolist(), producer[index].tolist(),
+                           is_data[index].tolist()):
+            r_prod[i] = ((p, d),)
+    index = np.flatnonzero(found0 & found1)
+    for i, p, d, q, e in zip(index.tolist(), prod0[index].tolist(),
+                             data0[index].tolist(), prod1[index].tolist(),
+                             data1[index].tolist()):
+        r_prod[i] = ((p, d), (q, e))
+    return (opclass.tolist(), kind.tolist(), jdec.tolist(), pc.tolist(),
+            npc.tolist(), trace.taken.tolist(), trace.is_load.tolist(),
+            is_store.tolist(), r_prod, r_is_prod.tolist())
+
+
+def _geometry_arrays(trace: "Trace", base: tuple, line_shift: int,
+                     chunk_shift: int, line_size: int,
+                     fetch_bytes: int) -> tuple:
+    """The arrays one cache geometry determines: fetch block, cache
+    line / chunk / byte mask, and the prototype uops that carry them."""
+    n = len(trace)
+    r_opc, r_load, r_store = base[0], base[6], base[7]
+    is_mem = trace.is_load | trace.is_store
+    address = np.where(is_mem, trace.mem_addr, 0)
+    size = np.where(is_mem, trace.mem_size, 0)
+    offset = address & np.uint64(line_size - 1)
+    if np.any(offset + size > line_size):
+        raise ValueError("access crosses the line boundary")
+    # Byte masks span a whole line: numpy words hold them up to 64-byte
+    # lines, Python ints beyond.
+    dtype = np.uint64 if line_size <= 64 else object
+    fill = np.array([(1 << bytes_) - 1 for bytes_ in range(line_size + 1)],
+                    dtype=dtype)
+    r_mask = (fill[size] << offset.astype(dtype)).tolist()
+    r_line = (address >> np.uint64(line_shift)).tolist()
+    r_chunk = (address >> np.uint64(chunk_shift)).tolist()
+    r_block = (trace.pc // np.uint64(fetch_bytes)).tolist()
     # Prototype uop per index: fetch copies it and patches the fetch
     # cycle, and gives producers a fresh consumer list (everyone else
     # shares the never-mutated empty one).  The sequence number IS the
     # trace index: fetch consumes the trace in order, one uop per
     # record, so the two counters are always equal.
     empty_cons = _EMPTY_CONS
-    for i in range(n):
-        r_proto[i] = [i, i, r_opc[i], r_load[i], r_store[i], 0,
-                      False, -1, 0, 0, empty_cons, 0, 0, False,
-                      r_line[i], r_chunk[i], r_mask[i], False, 0, 0,
-                      -1, False, False, False, False, -1]
+    r_proto = [[i, i, opc, load, store, 0, False, -1, 0, 0, empty_cons,
+                0, 0, False, line, chunk, mask, False, 0, 0, -1, False,
+                False, False, False, -1]
+               for i, opc, load, store, line, chunk, mask
+               in zip(range(n), r_opc, r_load, r_store, r_line, r_chunk,
+                      r_mask)]
+    return r_block, r_line, r_chunk, r_mask, r_proto
+
+
+def _precompute_cached(trace: "Trace", line_shift: int, chunk_shift: int,
+                       line_size: int, fetch_bytes: int) -> tuple:
+    """The flat per-record arrays the cycle loop indexes, cached on the
+    trace itself: the geometry-independent ones once, the rest per
+    geometry (the last :data:`_GEOMETRIES_KEPT` geometries), on the
+    last :data:`_TRACES_KEPT` traces used."""
+    recent = _recent_traces
+    for index, kept in enumerate(recent):
+        if kept is trace:
+            del recent[index]
+            break
+    recent.append(trace)
+    while len(recent) > _TRACES_KEPT:
+        recent.pop(0).derived.pop("fastpath", None)
+    derived = trace.derived
+    key = (line_shift, chunk_shift, line_size, fetch_bytes)
+    if "fastpath" not in derived:
+        derived["fastpath"] = (_trace_arrays(trace), {})
+    base, geometries = derived["fastpath"]
+    geometry = geometries.pop(key, None)
+    if geometry is None:
+        geometry = _geometry_arrays(trace, base, *key)
+    geometries[key] = geometry
+    while len(geometries) > _GEOMETRIES_KEPT:
+        del geometries[next(iter(geometries))]
+    (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_load, r_store,
+     r_prod, r_is_prod) = base
+    r_block, r_line, r_chunk, r_mask, r_proto = geometry
     return (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
             r_load, r_store, r_line, r_chunk, r_mask, r_prod,
             r_is_prod, r_proto)
 
 
-#: Memo for :func:`_precompute`, keyed by trace identity plus the cache
-#: geometry the arrays depend on.  Each entry keeps a strong reference
-#: to its trace, which is what makes the ``id()`` key safe: the id
-#: cannot be recycled while the entry is alive.  Bounded LRU so sweeps
-#: over many traces do not pin them all in memory.
-_PRECOMPUTE_MEMO: OrderedDict = OrderedDict()
-_PRECOMPUTE_MEMO_MAX = 4
-
-
-def _precompute_cached(trace: Sequence["TraceRecord"], line_shift: int,
-                       chunk_shift: int, line_size: int,
-                       fetch_bytes: int) -> tuple:
-    key = (id(trace), line_shift, chunk_shift, line_size, fetch_bytes)
-    entry = _PRECOMPUTE_MEMO.get(key)
-    if entry is not None and entry[0] is trace:
-        _PRECOMPUTE_MEMO.move_to_end(key)
-        return entry[1]
-    arrays = _precompute(trace, line_shift, chunk_shift, line_size,
-                         fetch_bytes)
-    _PRECOMPUTE_MEMO[key] = (trace, arrays)
-    while len(_PRECOMPUTE_MEMO) > _PRECOMPUTE_MEMO_MAX:
-        _PRECOMPUTE_MEMO.popitem(last=False)
-    return arrays
-
-
-def run_fast(core: "OoOCore", trace: Sequence["TraceRecord"]) -> int:
+def run_fast(core: "OoOCore", trace: "Trace") -> int:
     """Run *trace* through *core* on the flattened loop; returns the
     final cycle count.  Mutates the core exactly like the reference
     loop: stats, stall ledger, load-latency histogram, committed count

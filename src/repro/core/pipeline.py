@@ -42,6 +42,7 @@ from ..obs.stall import DEFAULT_INTERVAL, StallCause, StallLedger
 from ..obs.tracer import Tracer
 from ..stats.counters import Stats
 from ..stats.histogram import Histogram
+from ..trace.io import Trace, as_trace
 from ..trace.record import TraceRecord
 from .bpred import BranchPredictor
 from .config import CoreConfig, MachineConfig
@@ -224,11 +225,12 @@ class OoOCore:
         self._watchdog_limit = watchdog_limit(machine)
 
     # ------------------------------------------------------------------
-    def run(self, trace: Sequence[TraceRecord]) -> CoreResult:
-        """Simulate the machine over *trace*; returns timing results."""
+    def run(self, trace: Trace | Sequence[TraceRecord]) -> CoreResult:
+        """Simulate the machine over *trace* (a :class:`Trace` or a
+        plain record list); returns timing results."""
+        trace = as_trace(trace)
         if not trace:
             raise ValueError("empty trace")
-        self._trace = trace
         rejection = self._fastpath_rejection()
         if self._fastpath and rejection is not None:
             raise ValueError(
@@ -241,6 +243,9 @@ class OoOCore:
             rejection = "fastpath=False requested"
         self.used_fastpath = use_fast
         self.fastpath_reason = None if use_fast else rejection
+        # The reference loop indexes the plain row list; the fast loop
+        # reads columns only, so a loaded trace never builds its rows.
+        self._trace = trace if use_fast else trace.rows
         probe = self.probe
         if probe is not None:
             probe.on_begin(self)
@@ -702,7 +707,7 @@ class OoOCore:
                 f"fq={len(self._fetch_queue)}, head={head!r})")
 
 
-def simulate(trace: Sequence[TraceRecord],
+def simulate(trace: Trace | Sequence[TraceRecord],
              machine: MachineConfig,
              tracer: Tracer | None = None,
              metrics_interval: int | None = None,

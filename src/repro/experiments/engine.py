@@ -56,13 +56,19 @@ from ..core.pipeline import CoreResult, OoOCore
 from ..obs import spans as obs_spans
 from ..obs.report import build_run_report
 from ..obs.spans import SpanRecorder, merge_events
-from ..trace.record import TraceRecord
+from ..trace.io import Trace
 from ..trace.synthetic import SyntheticConfig, generate
 from ..workloads import suite
 from .progress import ProgressDisplay
 from .runner import current_report_sink
 
 __all__ = ["Engine", "EngineJobError", "SimJob", "TraceSpec", "execute"]
+
+
+def _user_only(trace: Trace) -> Trace:
+    """The user-only view of a full-system trace: kernel records
+    filtered out."""
+    return trace.select(~trace.kernel)
 
 
 @dataclass(frozen=True)
@@ -140,24 +146,20 @@ class TraceSpec:
             label += f" seed={self.seed}"
         return label
 
-    def build(self) -> list[TraceRecord]:
+    def build(self) -> Trace:
         """Materialise the trace through the suite's two-tier cache."""
         if self.kind == "workload":
             return suite.build_trace(self.name, self.scale)
         if self.kind == "os-mix":
             return suite.build_os_mix_trace(self.scale)
         if self.kind == "os-mix-user":
-            return [record
-                    for record in suite.build_os_mix_trace(self.scale)
-                    if not record.kernel]
+            return _user_only(suite.build_os_mix_trace(self.scale))
         if self.kind == "scenario":
             return suite.build_scenario_trace(self.name, self.scale,
                                               seed=self.scenario_seed)
         if self.kind == "scenario-user":
-            return [record for record in
-                    suite.build_scenario_trace(self.name, self.scale,
-                                               seed=self.scenario_seed)
-                    if not record.kernel]
+            return _user_only(suite.build_scenario_trace(
+                self.name, self.scale, seed=self.scenario_seed))
         if self.kind == "synthetic":
             config = self.synthetic
             return suite.cached_trace(

@@ -13,6 +13,8 @@ port-technique benefit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..presets import BEST_SINGLE_PORT, DUAL_PORT
 from ..stats.report import Table
 from .engine import Engine, SimJob, TraceSpec, execute
@@ -50,7 +52,7 @@ def _kernel_fraction(stream: str, scale: str) -> float:
     """OS-activity share of the full (with-kernel) stream.  The trace
     was warmed by the engine, so this is an in-memory cache hit."""
     trace = _spec(stream, scale, user_only=False).build()
-    return sum(1 for record in trace if record.kernel) / len(trace)
+    return int(np.count_nonzero(trace.kernel)) / len(trace)
 
 
 def tabulate(scale: str, results: dict) -> Table:

@@ -17,7 +17,12 @@ format version): the digest covers the generated assembly source and
 build parameters, so editing a workload generator or bumping
 ``trace.io.FORMAT_VERSION`` invalidates stale entries instead of
 silently serving them.  Disk I/O failures degrade to memory-only
-caching; they never fail a run.
+caching; they never fail a run, and a corrupt or stale entry (truncated
+or empty file, wrong format version, missing column) is rebuilt and
+overwritten.
+
+Both tiers hold columnar :class:`~repro.trace.io.Trace` objects: a
+fresh build is converted once, a disk hit is one ``np.load``.
 """
 
 from __future__ import annotations
@@ -25,9 +30,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from ..asm import assemble
 from ..func.exceptions import SimError
@@ -35,6 +44,7 @@ from ..func.run import run_bare
 from ..kernel import assemble_user, run_system
 from ..obs import spans as obs_spans
 from ..trace import io as trace_io
+from ..trace.io import Trace
 from ..trace.record import TraceRecord
 from . import (
     bintree,
@@ -145,7 +155,7 @@ WORKLOADS: dict[str, WorkloadSpec] = _build_registry()
 SUITE_NAMES = ("compress", "wc", "qsort", "bintree", "linked", "spmv",
                "stream", "memops", "matmul")
 
-_trace_cache: dict[tuple, list[TraceRecord]] = {}
+_trace_cache: dict[tuple, Trace] = {}
 
 #: Values of ``REPRO_TRACE_CACHE`` (or ``--trace-cache``) that disable
 #: the disk tier.
@@ -222,9 +232,15 @@ def _kernel_fingerprint() -> str:
     return content_digest(kernel_source())
 
 
+#: What reading a damaged cache entry can raise: I/O errors, a stale
+#: version or ragged columns (ValueError), a missing column (KeyError),
+#: and a truncated, empty or corrupt archive.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError,
+               zipfile.BadZipFile, zlib.error)
+
+
 def cached_trace(label: str, digest: str,
-                 build: Callable[[], list[TraceRecord]],
-                 ) -> list[TraceRecord]:
+                 build: Callable[[], list[TraceRecord]]) -> Trace:
     """Two-tier trace lookup: memory, then disk, then *build*.
 
     *label* names the entry (it becomes part of the filename); *digest*
@@ -254,13 +270,13 @@ def cached_trace(label: str, digest: str,
                 _cache_stats["disk_hits"] += 1
                 _trace_cache[key] = trace
                 return trace
-        except (OSError, ValueError, KeyError):
+        except _UNREADABLE:
             pass  # unreadable/stale entry: rebuild and overwrite
     if recorder is None:
-        trace = build()
+        trace = trace_io.as_trace(build())
     else:
         with recorder.span("trace.build", "workload", label=label):
-            trace = build()
+            trace = trace_io.as_trace(build())
     _cache_stats["builds"] += 1
     _trace_cache[key] = trace
     if path is not None:
@@ -278,7 +294,7 @@ def cached_trace(label: str, digest: str,
 
 
 def build_trace(name: str, scale: str = "small",
-                max_instructions: int = 3_000_000) -> list[TraceRecord]:
+                max_instructions: int = 3_000_000) -> Trace:
     """Functionally execute a workload and return its verified trace."""
     spec = WORKLOADS[name]
     params = spec.params(scale)
@@ -309,7 +325,7 @@ OS_MIX_TIMER = {"tiny": 300, "small": 1500, "full": 5000}
 def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
                        timer_interval: int | None = None,
                        max_instructions: int = 8_000_000,
-                       ) -> list[TraceRecord]:
+                       ) -> Trace:
     """A multiprogrammed mix under the mini-OS (kernel in the trace)."""
     interval = timer_interval if timer_interval is not None \
         else OS_MIX_TIMER[scale]
@@ -344,7 +360,7 @@ def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
 def build_scenario_trace(name: str, scale: str = "small",
                          seed: int | None = None,
                          overrides: dict[str, int] | None = None,
-                         ) -> list[TraceRecord]:
+                         ) -> Trace:
     """Build (or fetch) the verified trace of one scenario-corpus entry.
 
     The cache key covers the scenario name, scale, **seed**, every
@@ -376,13 +392,14 @@ def build_scenario_trace(name: str, scale: str = "small",
                         build_fn)
 
 
-def trace_summary(trace: list[TraceRecord]) -> dict[str, float]:
+def trace_summary(trace: Trace | list[TraceRecord]) -> dict[str, float]:
     """Static characteristics of a trace (for T1-style tables)."""
+    trace = trace_io.as_trace(trace)
     total = len(trace)
-    loads = sum(1 for r in trace if r.is_load)
-    stores = sum(1 for r in trace if r.is_store)
-    branches = sum(1 for r in trace if r.is_control)
-    kernel = sum(1 for r in trace if r.kernel)
+    loads = int(np.count_nonzero(trace.is_load))
+    stores = int(np.count_nonzero(trace.is_store))
+    branches = int(np.count_nonzero(trace.is_control))
+    kernel = int(np.count_nonzero(trace.kernel))
     return {
         "instructions": total,
         "load_fraction": loads / total if total else 0.0,
