@@ -165,7 +165,7 @@ class TraceSpec:
             return suite.cached_trace(
                 f"synthetic-seed{config.seed}",
                 suite.content_digest(repr(config)),
-                lambda: generate(config))
+                lambda: Trace.from_records(generate(config)))
         raise ValueError(f"unknown trace kind {self.kind!r}")
 
 

@@ -1,12 +1,21 @@
 """Functional (ISA-level) simulator with tracing.
 
 The interpreter executes instructions out of simulated memory (so the
-kernel and all user processes share one image), delivers traps and timer
-interrupts, and emits one :class:`repro.trace.record.TraceRecord` per
-retired instruction.  ``next_pc`` in each record is the address of the
-*actually* executed next instruction — on traps it points into the trap
-vector, which is how the timing core learns about pipeline redirects
-that are not ordinary branches.
+kernel and all user processes share one image) and delivers traps and
+timer interrupts.  It predecodes each static pc once: the decode cache
+holds the :class:`Instruction`, its static trace-column row
+(:func:`repro.trace.io.static_row`) and its retire class.  When
+collecting a trace, each retired instruction appends only its pc, its
+taken/kernel flag bits and its memory address to growable buffers;
+:meth:`Interpreter.run` then gathers the columns of a
+:class:`repro.trace.io.Trace` from the per-pc table in one go.  Rows
+are a lazy view of those columns whose ``instr`` back-references come
+from the same table.
+
+``next_pc`` of each row is the address of the *actually* executed next
+instruction — on traps it points into the trap vector, which is how the
+timing core learns about pipeline redirects that are not ordinary
+branches.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from ..isa import (
     SysReg,
     decode,
 )
-from ..trace.record import TraceRecord
+from ..trace.io import KERNEL_FLAG, TAKEN_FLAG, Trace, static_row
 from .exceptions import SimError, SimHalted, TrapCause
 from .memory import Memory, MemoryFault
 from .state import ArchState, bits_to_float, float_to_bits, to_signed
@@ -33,6 +42,9 @@ _MASK64 = (1 << 64) - 1
 SYSCALL_REG = 17
 #: First syscall argument / return value register (a0).
 ARG_REG = 10
+
+#: Retire classes of a predecoded instruction.
+_PLAIN, _LOAD, _STORE, _BRANCH, _JUMP = range(5)
 
 
 def load_program(memory: Memory, program: Program) -> None:
@@ -70,22 +82,30 @@ class Interpreter:
         host side and faults raise :class:`SimError`.
     syscall_handler:
         Bare-mode syscall callback ``handler(interpreter) -> None``.
-    trace_sink:
-        Called once per retired instruction with a
-        :class:`TraceRecord`; ``None`` disables tracing.
+    collect_trace:
+        Log every retired instruction; :meth:`run` leaves the trace in
+        :attr:`trace`.
     """
 
     def __init__(self, memory: Memory, entry: int,
                  trap_vector: int | None = None,
                  syscall_handler: Callable[["Interpreter"], None] | None = None,
-                 trace_sink: Callable[[TraceRecord], None] | None = None) -> None:
+                 collect_trace: bool = False) -> None:
         self.memory = memory
         self.state = ArchState(pc=entry)
         self.trap_vector = trap_vector
         self.syscall_handler = syscall_handler
-        self.trace_sink = trace_sink
-        self._decode_cache: dict[int, Instruction] = {}
-        self._pending_record: TraceRecord | None = None
+        #: pc -> (instruction, static trace row, retire class).
+        self._decode_cache: dict[int, tuple[Instruction, tuple, int]] = {}
+        #: Per-retire pc, taken/kernel flag bits and memory address.
+        self._log: tuple[list[int], list[int], list[int]] | None = \
+            ([], [], []) if collect_trace else None
+        #: The trace logged so far, as of the last :meth:`run`.
+        self.trace: Trace | None = None
+        # Outcome of the last branch and address of the last memory
+        # access executed.
+        self._taken = False
+        self._mem_addr = 0
         # Statistics.
         self.retired = 0
         self.kernel_retired = 0
@@ -98,10 +118,8 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Fetch / decode
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
-        if instr is not None:
-            return instr
+    def _predecode(self, pc: int) -> tuple[Instruction, tuple, int]:
+        """Decode the instruction at *pc* into its decode-cache entry."""
         if pc % INSTRUCTION_BYTES:
             raise SimError(f"misaligned pc {pc:#x}")
         try:
@@ -109,8 +127,13 @@ class Interpreter:
         except MemoryFault as exc:
             raise SimError(f"instruction fetch fault: {exc}") from exc
         instr = decode(word)
-        self._decode_cache[pc] = instr
-        return instr
+        info = instr.info
+        kind = _LOAD if info.is_load else _STORE if info.is_store \
+            else _BRANCH if info.opclass is OpClass.BRANCH \
+            else _JUMP if info.opclass is OpClass.JUMP else _PLAIN
+        entry = (instr, static_row(instr), kind)
+        self._decode_cache[pc] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # Trap delivery
@@ -136,21 +159,27 @@ class Interpreter:
     # Main loop
     # ------------------------------------------------------------------
     def run(self, max_instructions: int | None = None) -> int:
-        """Run until HALT or *max_instructions*; returns the exit code.
+        """Run until HALT or until *max_instructions* more instructions
+        have retired; returns the exit code.
 
-        Raises :class:`SimError` if the budget is exhausted first (a
-        budget overrun almost always means a hung workload).
+        Interrupt deliveries and faulting instructions retire nothing
+        and do not count.  Raises :class:`SimError` if the budget is
+        exhausted first (a budget overrun almost always means a hung
+        workload).
         """
-        budget = max_instructions if max_instructions is not None else -1
+        step = self.step
         try:
-            while budget != 0:
-                self.step()
-                if budget > 0:
-                    budget -= 1
+            if max_instructions is None:
+                while True:
+                    step()
+            else:
+                stop = self.retired + max_instructions
+                while self.retired < stop:
+                    step()
         except SimHalted as halt:
-            self._flush_trace()
+            self._finish_trace()
             return halt.exit_code
-        self._flush_trace()
+        self._finish_trace()
         raise SimError(
             f"instruction budget exhausted after {self.retired} instructions "
             f"(pc={self.state.pc:#x})")
@@ -165,66 +194,59 @@ class Interpreter:
             return
         pc = state.pc
         kernel = state.kernel_mode
-        instr = self._fetch(pc)
-        record = self._begin_record(pc, instr)
+        entry = self._decode_cache.get(pc)
+        if entry is None:
+            entry = self._predecode(pc)
+        instr, _, kind = entry
         try:
-            next_pc = self._execute(instr, pc, record)
+            next_pc = self._execute(instr, pc)
         except _Trap as trap:
-            epc = pc + INSTRUCTION_BYTES if trap.cause is TrapCause.SYSCALL \
-                else pc
             if trap.cause is TrapCause.SYSCALL:
                 # The syscall instruction itself retires before the trap.
-                self._retire(record, instr, kernel)
-            self._take_trap(trap.cause, epc, trap.badaddr)
+                self._retire(pc, kind, kernel)
+                self._take_trap(trap.cause, pc + INSTRUCTION_BYTES)
+            elif pc == self.trap_vector:
+                # The handler's first instruction faults: every later
+                # step would trap here again and retire nothing.
+                raise SimError(f"trap {trap.cause.name} at the trap "
+                               f"vector {pc:#x}") from trap
+            else:
+                self._take_trap(trap.cause, pc, trap.badaddr)
             return
         state.pc = next_pc
-        self._retire(record, instr, kernel)
+        self._retire(pc, kind, kernel)
 
-    def _begin_record(self, pc: int, instr: Instruction) -> TraceRecord | None:
-        if self.trace_sink is None:
-            return None
-        info = instr.info
-        return TraceRecord(
-            pc=pc,
-            opclass=info.opclass,
-            dest=instr.dest,
-            sources=instr.sources,
-            is_load=info.is_load,
-            is_store=info.is_store,
-            is_control=info.is_control,
-            kernel=self.state.kernel_mode,
-            instr=instr,
-        )
-
-    def _retire(self, record: TraceRecord | None, instr: Instruction,
-                kernel: bool) -> None:
+    def _retire(self, pc: int, kind: int, kernel: bool) -> None:
         self.retired += 1
         self._timer_count += 1
         if kernel:
             self.kernel_retired += 1
-        if instr.is_load:
+        if kind == _LOAD:
             self.loads += 1
-        elif instr.is_store:
+        elif kind == _STORE:
             self.stores += 1
-        if record is not None:
-            pending = self._pending_record
-            if pending is not None:
-                pending.next_pc = record.pc
-                self.trace_sink(pending)
-            self._pending_record = record
+        log = self._log
+        if log is not None:
+            log[0].append(pc)
+            taken = kind == _JUMP or kind == _BRANCH and self._taken
+            log[1].append(kernel * KERNEL_FLAG | taken * TAKEN_FLAG)
+            log[2].append(self._mem_addr if kind == _LOAD or kind == _STORE
+                          else 0)
 
-    def _flush_trace(self) -> None:
-        pending = self._pending_record
-        if pending is not None:
-            pending.next_pc = pending.pc + INSTRUCTION_BYTES
-            self.trace_sink(pending)
-            self._pending_record = None
+    def _finish_trace(self) -> None:
+        """Gather :attr:`trace` from the log and the predecoded table."""
+        log = self._log
+        if log is None:
+            return
+        cache = self._decode_cache
+        self.trace = Trace.from_retired(
+            *log, {pc: instr for pc, (instr, _, _) in cache.items()},
+            [row for _, row, _ in cache.values()])
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, instr: Instruction, pc: int,
-                 record: TraceRecord | None) -> int:
+    def _execute(self, instr: Instruction, pc: int) -> int:
         op = instr.opcode
         state = self.state
         regs = state.regs
@@ -235,15 +257,12 @@ class Interpreter:
             return pc + 4
         info = instr.info
         if info.is_mem:
-            return self._execute_mem(instr, pc, record)
+            return self._execute_mem(instr, pc)
         if info.opclass is OpClass.BRANCH:
-            taken = _BRANCH_OPS[op](regs[instr.rs1], regs[instr.rs2])
-            if record is not None:
-                record.taken = taken
+            taken = self._taken = _BRANCH_OPS[op](regs[instr.rs1],
+                                                  regs[instr.rs2])
             return pc + 4 * instr.imm if taken else pc + 4
         if info.opclass is OpClass.JUMP:
-            if record is not None:
-                record.taken = True
             if op is Opcode.J:
                 return pc + 4 * instr.imm
             if op is Opcode.JAL:
@@ -261,17 +280,14 @@ class Interpreter:
             return pc + 4
         return self._execute_system(instr, pc)
 
-    def _execute_mem(self, instr: Instruction, pc: int,
-                     record: TraceRecord | None) -> int:
+    def _execute_mem(self, instr: Instruction, pc: int) -> int:
         state = self.state
         info = instr.info
         address = (state.regs[instr.rs1] + instr.imm) & _MASK64
         size = info.mem_size
         if address % size:
             raise _Trap(TrapCause.MISALIGNED, address)
-        if record is not None:
-            record.mem_addr = address
-            record.mem_size = size
+        self._mem_addr = address
         try:
             if info.is_load:
                 if info.mem_signed:

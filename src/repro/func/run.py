@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa import Program
-from ..trace.record import TraceRecord
+from ..trace.io import Trace
 from .interp import Interpreter, load_program
 from .memory import ConsoleDevice, Memory
 from .syscalls import HostSyscalls
@@ -27,7 +27,8 @@ class RunResult:
     stores: int
     traps_taken: int = 0
     timer_interrupts: int = 0
-    trace: list[TraceRecord] = field(default_factory=list)
+    #: The retired-instruction trace (``collect_trace=True`` only).
+    trace: Trace | None = None
     #: Architectural end-state digests (``compute_digests=True`` only);
     #: comparable against :attr:`repro.core.pipeline.CoreResult.digests`.
     digests: dict[str, str] | None = None
@@ -54,11 +55,9 @@ def run_bare(program: Program, max_instructions: int = 5_000_000,
     console = ConsoleDevice()
     memory.add_device(console)
     load_program(memory, program)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
     interp = Interpreter(memory, entry=program.entry,
                          syscall_handler=HostSyscalls(console),
-                         trace_sink=sink)
+                         collect_trace=collect_trace)
     if user_mode:
         interp.state.status = 0
     interp.state.write_reg(_SP, stack_top)
@@ -76,6 +75,6 @@ def run_bare(program: Program, max_instructions: int = 5_000_000,
         stores=interp.stores,
         traps_taken=interp.traps_taken,
         timer_interrupts=interp.timer_interrupts,
-        trace=trace,
+        trace=interp.trace,
         digests=digests,
     )

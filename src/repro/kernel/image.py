@@ -10,7 +10,6 @@ from ..func.interp import Interpreter, load_program
 from ..func.memory import ConsoleDevice, Memory
 from ..func.run import RunResult
 from ..isa import Program
-from ..trace.record import TraceRecord
 from . import layout
 from .source import kernel_source
 
@@ -99,10 +98,9 @@ def run_system(programs: list[Program], timer_interval: int = 20_000,
                collect_trace: bool = False) -> SystemRunResult:
     """Boot the mini-OS with *programs* and run to completion."""
     system = build_system(programs, timer_interval)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
     interp = Interpreter(system.memory, entry=system.entry,
-                         trap_vector=system.trap_vector, trace_sink=sink)
+                         trap_vector=system.trap_vector,
+                         collect_trace=collect_trace)
     exit_code = interp.run(max_instructions)
     table = system.kernel.symbols["proctable"]
     exit_codes = [
@@ -119,6 +117,6 @@ def run_system(programs: list[Program], timer_interval: int = 20_000,
         stores=interp.stores,
         traps_taken=interp.traps_taken,
         timer_interrupts=interp.timer_interrupts,
-        trace=trace,
+        trace=interp.trace,
         process_exit_codes=exit_codes,
     )

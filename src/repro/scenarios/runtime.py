@@ -18,7 +18,6 @@ from ..isa import Program
 from ..kernel import assemble_user, build_system
 from ..kernel.image import System, SystemRunResult
 from ..kernel.layout import PCB_EXIT, PCB_SIZE
-from ..trace.record import TraceRecord
 from .base import ExpectedResults, ScenarioSpec, sha256_bytes
 
 
@@ -89,10 +88,9 @@ def run_build(build: ScenarioBuild,
     interpreter; returns the run plus the live :class:`System` (for
     memory-region checks) and the end-state digests."""
     system = build_system(list(build.programs), build.timer_interval)
-    trace: list[TraceRecord] = []
-    sink = trace.append if collect_trace else None
     interp = Interpreter(system.memory, entry=system.entry,
-                         trap_vector=system.trap_vector, trace_sink=sink)
+                         trap_vector=system.trap_vector,
+                         collect_trace=collect_trace)
     exit_code = interp.run(build.max_instructions)
     table = system.kernel.symbols["proctable"]
     exit_codes = [
@@ -108,7 +106,7 @@ def run_build(build: ScenarioBuild,
         stores=interp.stores,
         traps_taken=interp.traps_taken,
         timer_interrupts=interp.timer_interrupts,
-        trace=trace,
+        trace=interp.trace,
         process_exit_codes=exit_codes,
     )
     digests = {"registers": interp.state.digest(),

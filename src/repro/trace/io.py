@@ -10,15 +10,22 @@ holds a dynamic trace as numpy columns — exactly the arrays
   ``dest`` (255 = none), ``src``/``nsrc`` (up to two source
   registers), ``naddr`` (store address/data operand split, 255 =
   unknown), ``mem_addr``, ``mem_size``, ``flags`` and ``next_pc``.
-  The flag-bit layout lives only in this module; consumers read the
+  The flag-bit layout lives in this module; consumers read the
   decoded ``is_load``/``is_store``/``is_control``/``taken``/
   ``kernel``/``serializes``/``decode_redirect`` columns.
+* **Building.**  The functional simulator predecodes each static pc
+  once into a :func:`static_row` and logs only the pc, the
+  :data:`TAKEN_FLAG`/:data:`KERNEL_FLAG` bits and the memory address
+  per retired instruction; :meth:`Trace.from_retired` gathers the
+  static columns from the per-pc table.  :meth:`Trace.from_records`
+  converts record lists (synthetic and fuzz traces).
 * **Rows.**  :attr:`Trace.rows` is the plain list of
   :class:`TraceRecord` objects the reference cycle loop and the tools
   index.  A trace made from records (:func:`as_trace`) keeps those
-  original, instruction-bearing records as its rows; a loaded trace
-  builds instruction-less rows lazily, in bounded chunks, the first
-  time something asks for them.
+  records as its rows; any other trace builds rows lazily, in bounded
+  chunks, the first time something asks for them.  A fresh trace
+  carries the simulator's ``{pc: Instruction}`` table, so its rows
+  get their ``instr`` back-reference; a loaded trace's rows have none.
 * **Derived arrays.**  :attr:`Trace.derived` is a per-trace cache for
   arrays consumers compute from the columns (the fast cycle loop's
   precompute keeps its geometry-independent and per-geometry arrays
@@ -40,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..isa import Bank, OpClass, Opcode
+from ..isa import INSTRUCTION_BYTES, Bank, Instruction, OpClass, Opcode
 from .record import TraceRecord
 
 _OPCLASSES = tuple(OpClass)
@@ -61,10 +68,14 @@ COLUMNS = ("pc", "opclass", "dest", "src", "nsrc", "naddr", "mem_addr",
 _LOAD = 1
 _STORE = 2
 _CONTROL = 4
-_TAKEN = 8
-_KERNEL = 16
+#: The two flag bits that depend on execution, which the functional
+#: simulator logs per retired instruction.
+TAKEN_FLAG = 8
+KERNEL_FLAG = 16
 _SERIALIZES = 32
 _DECODE_REDIRECT = 64
+#: Values in a :func:`static_row`.
+_STATIC = 8
 
 _SERIALIZING_OPCODES = (Opcode.SYSCALL, Opcode.ERET)
 _DECODE_REDIRECT_OPCODES = (Opcode.J, Opcode.JAL)
@@ -83,67 +94,72 @@ class Trace:
     same records, so a trace is read-only once built.
     """
 
-    __slots__ = COLUMNS + ("_rows", "derived")
+    __slots__ = COLUMNS + ("_rows", "instructions", "derived")
 
     def __init__(self, columns: dict[str, np.ndarray],
-                 rows: list[TraceRecord] | None = None) -> None:
+                 rows: list[TraceRecord] | None = None,
+                 instructions: dict[int, Instruction] | None = None,
+                 ) -> None:
         for name in COLUMNS:
             setattr(self, name, columns[name])
         self._rows = rows
+        #: ``{pc: Instruction}`` for the rows' back-references, or None.
+        self.instructions = instructions
         #: Cache for arrays consumers derive from the columns.
         self.derived: dict = {}
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "Trace":
-        """Convert *records*, keeping them as the trace's rows."""
+        """Convert *records*, keeping them as the trace's rows.
+
+        Synthetic and fuzz traces are built this way; the functional
+        simulator appends columns itself (:meth:`from_retired`).
+        """
         rows = records if isinstance(records, list) else list(records)
-        n = len(rows)
-        opclasses = _OPCLASSES
-        opclass = []
-        dest = []
-        src0 = [0] * n
-        src1 = [0] * n
-        nsrc = []
-        naddr = []
-        flags = []
-        for i, record in enumerate(rows):
-            # tuple.index with identity fast-path beats hashing the enum
-            opclass.append(opclasses.index(record.opclass))
-            dest.append(NO_DEST if record.dest is None else record.dest)
-            if record.is_store:
-                sources, addr_count = _store_operands(record)
-            else:
-                sources, addr_count = record.sources[:MAX_SOURCES], \
-                    NO_SPLIT
-            nsrc.append(len(sources))
-            naddr.append(addr_count)
-            if sources:
-                src0[i] = sources[0]
-                if len(sources) > 1:
-                    src1[i] = sources[1]
-            flags.append(record.is_load * _LOAD | record.is_store * _STORE
-                         | record.is_control * _CONTROL
-                         | record.taken * _TAKEN | record.kernel * _KERNEL
-                         | _hint_flags(record))
-        src = np.zeros((n, MAX_SOURCES), dtype=np.uint8)
-        src[:, 0] = src0
-        src[:, 1] = src1
-        columns = {
-            "pc": np.array([r.pc for r in rows], dtype=np.uint64),
-            "opclass": np.array(opclass, dtype=np.uint8),
-            "dest": np.array(dest, dtype=np.uint8),
-            "src": src,
-            "nsrc": np.array(nsrc, dtype=np.uint8),
-            "naddr": np.array(naddr, dtype=np.uint8),
-            "mem_addr": np.array([r.mem_addr for r in rows],
-                                 dtype=np.uint64),
-            "mem_size": np.array([r.mem_size for r in rows],
-                                 dtype=np.uint8),
-            "flags": np.array(flags, dtype=np.uint8),
-            "next_pc": np.array([r.next_pc for r in rows],
-                                dtype=np.uint64),
-        }
+        # Records of one static instruction share its Instruction.
+        memo: dict[int, tuple[int, ...]] = {}
+        statics = [_record_row(record, memo) for record in rows]
+        table = np.array(statics, dtype=np.uint8).reshape(-1, _STATIC)
+        dynamic = np.array([record.taken * TAKEN_FLAG
+                            | record.kernel * KERNEL_FLAG
+                            for record in rows], dtype=np.uint8)
+        columns = _static_columns(table, dynamic)
+        columns["pc"] = np.array([r.pc for r in rows], dtype=np.uint64)
+        columns["mem_addr"] = np.array([r.mem_addr for r in rows],
+                                       dtype=np.uint64)
+        columns["next_pc"] = np.array([r.next_pc for r in rows],
+                                      dtype=np.uint64)
         return cls(columns, rows)
+
+    @classmethod
+    def from_retired(cls, pc: list[int], dynamic: list[int],
+                     mem_addr: list[int],
+                     instructions: dict[int, Instruction],
+                     statics: list[tuple[int, ...]]) -> "Trace":
+        """The trace the functional simulator logged.
+
+        *pc*, *dynamic* (:data:`TAKEN_FLAG`/:data:`KERNEL_FLAG` bits)
+        and *mem_addr* hold one entry per retired instruction;
+        *statics* holds the :func:`static_row` of each instruction in
+        *instructions*, in its key order.  One gather from that per-PC
+        table fills the static columns.  ``next_pc`` is the next
+        retired pc, and ``pc + 4`` for the last row.
+        """
+        pc = np.array(pc, dtype=np.uint64)
+        table_pc = np.fromiter(instructions, dtype=np.uint64,
+                               count=len(instructions))
+        order = np.argsort(table_pc)
+        index = order[np.searchsorted(table_pc[order], pc)]
+        table = np.array(statics, dtype=np.uint8).reshape(-1, _STATIC)
+        columns = _static_columns(table[index],
+                                  np.array(dynamic, dtype=np.uint8))
+        next_pc = np.empty_like(pc)
+        if len(pc):
+            next_pc[:-1] = pc[1:]
+            next_pc[-1] = pc[-1] + INSTRUCTION_BYTES
+        columns.update(pc=pc, next_pc=next_pc,
+                       mem_addr=np.array(mem_addr, dtype=np.uint64))
+        return cls(columns, instructions=instructions)
 
     # ------------------------------------------------------------------
     # Decoded flag columns.
@@ -165,11 +181,11 @@ class Trace:
 
     @property
     def taken(self) -> np.ndarray:
-        return self._flag(_TAKEN)
+        return self._flag(TAKEN_FLAG)
 
     @property
     def kernel(self) -> np.ndarray:
-        return self._flag(_KERNEL)
+        return self._flag(KERNEL_FLAG)
 
     @property
     def serializes(self) -> np.ndarray:
@@ -204,6 +220,9 @@ class Trace:
             return ((flags & bit) != 0).tolist()
 
         opclasses = _OPCLASSES
+        pcs = self.pc[start:stop].tolist()
+        instrs = [None] * len(pcs) if self.instructions is None \
+            else list(map(self.instructions.__getitem__, pcs))
         src = self.src[start:stop]
         sources = [intern(regs, regs) for regs in (
             () if count == 0 else (first,) if count == 1
@@ -214,19 +233,18 @@ class Trace:
         return [TraceRecord(pc, opclasses[opc],
                             None if dest == NO_DEST else dest, srcs,
                             addr, size, load, store, control, taken,
-                            npc, kernel, None, serial, redirect,
+                            npc, kernel, instr, serial, redirect,
                             -1 if split == NO_SPLIT else split)
                 for (pc, opc, dest, srcs, addr, size, load, store,
-                     control, taken, npc, kernel, serial, redirect,
+                     control, taken, npc, kernel, instr, serial, redirect,
                      split)
-                in zip(self.pc[start:stop].tolist(),
-                       self.opclass[start:stop].tolist(),
+                in zip(pcs, self.opclass[start:stop].tolist(),
                        self.dest[start:stop].tolist(), sources,
                        self.mem_addr[start:stop].tolist(),
                        self.mem_size[start:stop].tolist(),
                        flag(_LOAD), flag(_STORE), flag(_CONTROL),
-                       flag(_TAKEN), self.next_pc[start:stop].tolist(),
-                       flag(_KERNEL), flag(_SERIALIZES),
+                       flag(TAKEN_FLAG), self.next_pc[start:stop].tolist(),
+                       flag(KERNEL_FLAG), instrs, flag(_SERIALIZES),
                        flag(_DECODE_REDIRECT),
                        self.naddr[start:stop].tolist())]
 
@@ -236,7 +254,7 @@ class Trace:
         if rows is not None:
             rows = [rows[i] for i in np.flatnonzero(keep).tolist()]
         return Trace({name: getattr(self, name)[keep] for name in COLUMNS},
-                     rows)
+                     rows, self.instructions)
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -266,38 +284,73 @@ def as_trace(trace: Trace | Iterable[TraceRecord]) -> Trace:
     return trace if isinstance(trace, Trace) else Trace.from_records(trace)
 
 
-def _store_operands(record: TraceRecord) -> tuple[tuple[int, ...], int]:
-    """The (sources, addr_count) pair that reproduces the dependence
-    wiring the timing core derives from the instruction back-reference
-    (see ``OoOCore._wire_dependences``)."""
-    instr = record.instr
-    if instr is None:
-        # Already instruction-less: keep whatever split the record
-        # carries (round-trips loaded traces, leaves synthetic ones on
-        # the positional heuristic).
-        count = record.store_addr_count
-        return record.sources[:MAX_SOURCES], \
-            count if count >= 0 else NO_SPLIT
-    regs: list[int] = []
-    count = 0
-    if instr.rs1 != 0:
-        regs.append(instr.rs1)
-        count = 1
-    if not (instr.info.rs2_bank is Bank.INT and instr.rs2 == 0):
-        regs.append(instr.rs2)
-    return tuple(regs), count
+def static_row(instr: Instruction) -> tuple[int, ...]:
+    """The columns of *instr* that do not depend on its execution, as
+    one row of uint8 values: opclass, dest, the two source slots,
+    nsrc, naddr, mem_size and the load/store/control/serialise/
+    decode-redirect flag bits.
 
-
-def _hint_flags(record: TraceRecord) -> int:
-    """The serialisation/decode-redirect timing-hint flag bits."""
-    instr = record.instr
-    if instr is None:
-        serializes = record.serializes
-        redirect = record.decode_redirect
+    For stores, the address/data split reproduces the dependence
+    wiring the timing core derives from the instruction
+    (``OoOCore._wire_dependences``): rs1 is the address, rs2 the data.
+    """
+    info = instr.info
+    opcode = instr.opcode
+    if info.is_store:
+        sources: tuple[int, ...] = () if instr.rs1 == 0 else (instr.rs1,)
+        naddr = len(sources)
+        if not (info.rs2_bank is Bank.INT and instr.rs2 == 0):
+            sources += (instr.rs2,)
     else:
-        serializes = instr.opcode in _SERIALIZING_OPCODES
-        redirect = instr.opcode in _DECODE_REDIRECT_OPCODES
-    return (serializes * _SERIALIZES) | (redirect * _DECODE_REDIRECT)
+        sources, naddr = instr.sources, NO_SPLIT
+    return _row(_OPCLASSES.index(info.opclass), instr.dest, sources, naddr,
+                info.mem_size,
+                info.is_load * _LOAD | info.is_store * _STORE
+                | info.is_control * _CONTROL
+                | (opcode in _SERIALIZING_OPCODES) * _SERIALIZES
+                | (opcode in _DECODE_REDIRECT_OPCODES) * _DECODE_REDIRECT)
+
+
+def _record_row(record: TraceRecord,
+                memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The static row of *record*: from its instruction when it has
+    one (memoised in *memo* by identity), else from the fields and
+    timing hints it carries (round-trips loaded traces, leaves
+    synthetic ones on the positional heuristic)."""
+    instr = record.instr
+    if instr is not None:
+        row = memo.get(id(instr))
+        if row is None:
+            row = memo[id(instr)] = static_row(instr)
+        return row
+    naddr = NO_SPLIT
+    if record.is_store and record.store_addr_count >= 0:
+        naddr = record.store_addr_count
+    return _row(_OPCLASSES.index(record.opclass), record.dest,
+                record.sources, naddr, record.mem_size,
+                record.is_load * _LOAD | record.is_store * _STORE
+                | record.is_control * _CONTROL
+                | record.serializes * _SERIALIZES
+                | record.decode_redirect * _DECODE_REDIRECT)
+
+
+def _row(opclass: int, dest: int | None, sources: tuple[int, ...],
+         naddr: int, mem_size: int, flags: int) -> tuple[int, ...]:
+    sources = sources[:MAX_SOURCES]
+    return (opclass, NO_DEST if dest is None else dest,
+            sources[0] if sources else 0,
+            sources[1] if len(sources) > 1 else 0,
+            len(sources), naddr, mem_size, flags)
+
+
+def _static_columns(rows: np.ndarray,
+                    dynamic: np.ndarray) -> dict[str, np.ndarray]:
+    """The static columns of *rows* (one static row per record), with
+    the *dynamic* flag bits merged into ``flags``."""
+    return {"opclass": rows[:, 0].copy(), "dest": rows[:, 1].copy(),
+            "src": rows[:, 2:4].copy(), "nsrc": rows[:, 4].copy(),
+            "naddr": rows[:, 5].copy(), "mem_size": rows[:, 6].copy(),
+            "flags": rows[:, 7] | dynamic}
 
 
 def save_trace(path: str | os.PathLike,

@@ -22,7 +22,8 @@ or empty file, wrong format version, missing column) is rebuilt and
 overwritten.
 
 Both tiers hold columnar :class:`~repro.trace.io.Trace` objects: a
-fresh build is converted once, a disk hit is one ``np.load``.
+fresh build is the functional simulator's own columns, a disk hit is
+one ``np.load``.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ _UNREADABLE = (OSError, ValueError, KeyError, EOFError,
 
 
 def cached_trace(label: str, digest: str,
-                 build: Callable[[], list[TraceRecord]]) -> Trace:
+                 build: Callable[[], Trace]) -> Trace:
     """Two-tier trace lookup: memory, then disk, then *build*.
 
     *label* names the entry (it becomes part of the filename); *digest*
@@ -273,10 +274,10 @@ def cached_trace(label: str, digest: str,
         except _UNREADABLE:
             pass  # unreadable/stale entry: rebuild and overwrite
     if recorder is None:
-        trace = trace_io.as_trace(build())
+        trace = build()
     else:
         with recorder.span("trace.build", "workload", label=label):
-            trace = trace_io.as_trace(build())
+            trace = build()
     _cache_stats["builds"] += 1
     _trace_cache[key] = trace
     if path is not None:
@@ -300,7 +301,7 @@ def build_trace(name: str, scale: str = "small",
     params = spec.params(scale)
     source = spec.source(**params)
 
-    def build() -> list[TraceRecord]:
+    def build() -> Trace:
         program = assemble(source, source_name=f"<{name}>")
         result = run_bare(program, max_instructions=max_instructions,
                           collect_trace=True)
@@ -338,7 +339,7 @@ def build_os_mix_trace(scale: str = "small", members=OS_MIX_MEMBERS,
         sources.append(spec.source(**params))
         expected.append(spec.expected_exit(**params))
 
-    def build() -> list[TraceRecord]:
+    def build() -> Trace:
         programs = [assemble_user(source, slot=slot,
                                   source_name=f"<{name}>")
                     for slot, (name, source) in
@@ -375,7 +376,7 @@ def build_scenario_trace(name: str, scale: str = "small",
     spec = SCENARIOS[name]
     build = materialize(spec, scale, seed=seed, overrides=overrides)
 
-    def build_fn() -> list[TraceRecord]:
+    def build_fn() -> Trace:
         run = run_build(build, collect_trace=True)
         problems = check_contract(build, run)
         if problems:

@@ -137,11 +137,11 @@ def _twin(trace) -> Trace:
 
 def _check_twins(records, monkeypatch, run=True):
     """Precompute equality and fast/reference identity for *records*
-    (a fresh record list) and its save/load twin."""
+    (a fresh functional trace or record list) and its save/load twin."""
     monkeypatch.setattr(pipeline, "_ENV_VALIDATE", False)
     fresh = as_trace(records)
     twin = _twin(fresh)
-    assert fresh.rows is records
+    assert fresh is records or fresh.rows is records
     for config_name in CONFIGS:
         geometry = _geometry(config_name)
         expected = _reference_precompute(records, *geometry)
@@ -155,7 +155,7 @@ def _check_twins(records, monkeypatch, run=True):
     assert twin._rows is None or not run
 
 
-def _records(source: str) -> list[TraceRecord]:
+def _records(source: str) -> Trace:
     trace = run_bare(assemble(source), collect_trace=True).trace
     assert trace and trace[0].instr is not None
     return trace
