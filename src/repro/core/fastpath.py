@@ -1,11 +1,11 @@
 """The specialized fast cycle loop — the uninstrumented twin of
 :meth:`repro.core.pipeline.OoOCore._run_loop`.
 
-When a core runs with *every* observability hook off (tracer, metrics,
-pipe trace, validator, self-profiler — the zero-overhead-when-off
-discipline makes that predicate exact), :meth:`OoOCore.run` dispatches
-here instead of the instrumented reference loop.  This module is a
-flattened re-statement of the same machine:
+When a core runs with no observer attached (``core.probe is None``:
+no tracer, validator, interval metrics, pipe trace, self-profiler,
+critpath or hotspot recorder), :meth:`OoOCore.run` dispatches here
+instead of the reference loop.  This module is a flattened
+re-statement of the same machine:
 
 * the six per-cycle stage calls, the LSQ scheduler, the D-cache port
   arbitration, the write/line buffers and the I-cache hit path are
@@ -18,7 +18,10 @@ flattened re-statement of the same machine:
 * per-record decode work (opclass index, fetch block, cache line /
   chunk / byte mask, the dependence-wiring plan) is derived from the
   trace's columns (:class:`repro.trace.io.Trace`) with vector ops and
-  cached on the trace, so a configuration sweep pays for it once;
+  cached on the trace as flat lists, so a configuration sweep pays for
+  it once; fetch builds each uop's slot list from them with one list
+  display, and each record's dependence plan is an interned tuple of
+  ``(consumer - producer) << 1 | is_data`` codes;
 * functional-unit arbitration uses per-opclass int-indexed arrays, so
   the issue loop never hashes an enum;
 * statistics, the stall ledger and the load-latency histogram
@@ -185,31 +188,32 @@ def _trace_arrays(trace: "Trace") -> tuple:
         is_data = is_store & np.where(trace.naddr == NO_SPLIT,
                                       slot > 0, slot >= trace.naddr)
         slots.append((found, producer, is_data))
-    (found0, prod0, data0), (found1, prod1, data1) = slots
-    r_prod: list[tuple] = [()] * n
-    for found, producer, is_data in ((found0 & ~found1, prod0, data0),
-                                     (~found0 & found1, prod1, data1)):
-        index = np.flatnonzero(found)
-        for i, p, d in zip(index.tolist(), producer[index].tolist(),
-                           is_data[index].tolist()):
-            r_prod[i] = ((p, d),)
-    index = np.flatnonzero(found0 & found1)
-    for i, p, d, q, e in zip(index.tolist(), prod0[index].tolist(),
-                             data0[index].tolist(), prod1[index].tolist(),
-                             data1[index].tolist()):
-        r_prod[i] = ((p, d), (q, e))
+    # Code each dependence as its distance back to the producer with
+    # the store-data bit below it, then intern the per-record tuples:
+    # the dependence shapes of a trace are few, so every record of one
+    # shape shares a single tuple.  A shape's key is its first code + 1
+    # times the width plus its second code + 1, 0 standing for none; a
+    # lone dependence is the first whichever slot it came from, so
+    # equal plans get equal keys.
+    key0, key1 = (
+        np.where(found, (positions - producer) << 1 | is_data, -1) + 1
+        for found, producer, is_data in slots)
+    first = np.where(key0 > 0, key0, key1)
+    second = np.where(key0 > 0, key1, 0)
+    width = int(second.max(initial=0)) + 1
+    shapes, inverse = np.unique(first * width + second, return_inverse=True)
+    plans = [tuple(key - 1 for key in divmod(shape, width) if key)
+             for shape in shapes.tolist()]
+    r_prod = list(map(plans.__getitem__, inverse.tolist()))
     return (opclass.tolist(), kind.tolist(), jdec.tolist(), pc.tolist(),
             npc.tolist(), trace.taken.tolist(), trace.is_load.tolist(),
             is_store.tolist(), r_prod, r_is_prod.tolist())
 
 
-def _geometry_arrays(trace: "Trace", base: tuple, line_shift: int,
-                     chunk_shift: int, line_size: int,
-                     fetch_bytes: int) -> tuple:
-    """The arrays one cache geometry determines: fetch block, cache
-    line / chunk / byte mask, and the prototype uops that carry them."""
-    n = len(trace)
-    r_opc, r_load, r_store = base[0], base[6], base[7]
+def _geometry_arrays(trace: "Trace", line_shift: int, chunk_shift: int,
+                     line_size: int, fetch_bytes: int) -> tuple:
+    """The arrays one cache geometry determines: fetch block and cache
+    line / chunk / byte mask.  Fetch reads them into each new uop."""
     is_mem = trace.is_load | trace.is_store
     address = np.where(is_mem, trace.mem_addr, 0)
     size = np.where(is_mem, trace.mem_size, 0)
@@ -225,19 +229,7 @@ def _geometry_arrays(trace: "Trace", base: tuple, line_shift: int,
     r_line = (address >> np.uint64(line_shift)).tolist()
     r_chunk = (address >> np.uint64(chunk_shift)).tolist()
     r_block = (trace.pc // np.uint64(fetch_bytes)).tolist()
-    # Prototype uop per index: fetch copies it and patches the fetch
-    # cycle, and gives producers a fresh consumer list (everyone else
-    # shares the never-mutated empty one).  The sequence number IS the
-    # trace index: fetch consumes the trace in order, one uop per
-    # record, so the two counters are always equal.
-    empty_cons = _EMPTY_CONS
-    r_proto = [[i, i, opc, load, store, 0, False, -1, 0, 0, empty_cons,
-                0, 0, False, line, chunk, mask, False, 0, 0, -1, False,
-                False, False, False, -1]
-               for i, opc, load, store, line, chunk, mask
-               in zip(range(n), r_opc, r_load, r_store, r_line, r_chunk,
-                      r_mask)]
-    return r_block, r_line, r_chunk, r_mask, r_proto
+    return r_block, r_line, r_chunk, r_mask
 
 
 def _precompute_cached(trace: "Trace", line_shift: int, chunk_shift: int,
@@ -261,16 +253,16 @@ def _precompute_cached(trace: "Trace", line_shift: int, chunk_shift: int,
     base, geometries = derived["fastpath"]
     geometry = geometries.pop(key, None)
     if geometry is None:
-        geometry = _geometry_arrays(trace, base, *key)
+        geometry = _geometry_arrays(trace, *key)
     geometries[key] = geometry
     while len(geometries) > _GEOMETRIES_KEPT:
         del geometries[next(iter(geometries))]
     (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_load, r_store,
      r_prod, r_is_prod) = base
-    r_block, r_line, r_chunk, r_mask, r_proto = geometry
+    r_block, r_line, r_chunk, r_mask = geometry
     return (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
             r_load, r_store, r_line, r_chunk, r_mask, r_prod,
-            r_is_prod, r_proto)
+            r_is_prod)
 
 
 def run_fast(core: "OoOCore", trace: "Trace") -> int:
@@ -385,11 +377,11 @@ def run_fast(core: "OoOCore", trace: "Trace") -> int:
     # Trace precompute.
     # ------------------------------------------------------------------
     (r_opc, r_kind, r_jdec, r_pc, r_npc, r_taken, r_block,
-     r_load, r_store, r_line, r_chunk, r_mask, r_prod, r_is_prod,
-     r_proto) = \
+     r_load, r_store, r_line, r_chunk, r_mask, r_prod, r_is_prod) = \
         _precompute_cached(trace, dcache.line_shift, dcache.chunk_shift,
                            dcache.line_size, icache.fetch_bytes)
     total = len(trace)
+    empty_cons = _EMPTY_CONS
 
     # ------------------------------------------------------------------
     # Pipeline state (shared objects hoisted, scalars local).
@@ -1287,7 +1279,9 @@ def run_fast(core: "OoOCore", trace: "Trace") -> int:
                     break
                 fq_popleft()
                 index = uop[U_IDX]
-                for producer_index, is_data in r_prod[index]:
+                for code in r_prod[index]:
+                    producer_index = index - (code >> 1)
+                    is_data = code & 1
                     when = idx_done_at[producer_index]
                     if when >= 0:
                         if is_data:
@@ -1382,10 +1376,15 @@ def run_fast(core: "OoOCore", trace: "Trace") -> int:
                     index = trace_pos
                     if r_block[index] != block:
                         break
-                    uop = r_proto[index].copy()
-                    uop[U_FETCH] = cycle
-                    if r_is_prod[index]:
-                        uop[U_CONS] = []
+                    # The sequence number IS the trace index: fetch
+                    # consumes the trace in order, one uop per record.
+                    # Only producers get a private consumer list.
+                    uop = [index, index, r_opc[index], r_load[index],
+                           r_store[index], cycle, False, -1, 0, 0,
+                           [] if r_is_prod[index] else empty_cons, 0, 0,
+                           False, r_line[index], r_chunk[index],
+                           r_mask[index], False, 0, 0, -1, False, False,
+                           False, False, -1]
                     fq_append(uop)
                     fetched += 1
                     trace_pos += 1

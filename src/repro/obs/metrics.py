@@ -31,6 +31,7 @@ default.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -112,24 +113,19 @@ class IntervalMetrics(Probe):
         self._snapshot = {name: 0.0 for name in self.counters}
         self._committed_at_close = 0
         self._start_cycle = 0
-        self._cycles = 0
-        self._occ_sums = [0] * len(OCCUPANCY_STRUCTURES)
-        # Hot-path aliases (on_cycle runs once per simulated cycle).
-        self._hists = tuple(self.histograms[name]
-                            for name in OCCUPANCY_STRUCTURES)
+        # One occupancy tuple per cycle of the open interval, folded
+        # into the histograms when the interval closes (on_cycle runs
+        # once per simulated cycle, so it only appends).
+        self._samples: list[tuple[int, ...]] = []
 
     # ------------------------------------------------------------------
     def on_cycle(self, cycle: int, committed: int, rob: int, iq: int,
                  lq: int, sq: int, wb: int, ports_used: int,
                  mshr_busy: int) -> None:
         """Sample one finished cycle."""
-        samples = (rob, iq, lq, sq, wb, ports_used, mshr_busy)
-        sums = self._occ_sums
-        for index, (hist, value) in enumerate(zip(self._hists, samples)):
-            hist.record(value)
-            sums[index] += value
-        self._cycles += 1
-        if self._cycles == self.interval:
+        samples = self._samples
+        samples.append((rob, iq, lq, sq, wb, ports_used, mshr_busy))
+        if len(samples) == self.interval:
             self._close(committed)
 
     def on_cycle_end(self, core: "OoOCore", cycle: int) -> None:
@@ -145,11 +141,20 @@ class IntervalMetrics(Probe):
 
     def finalize(self, committed: int) -> None:
         """Close the trailing partial interval (end of run)."""
-        if self._cycles:
+        if self._samples:
             self._close(committed)
 
     def _close(self, committed: int) -> None:
-        cycles = self._cycles
+        samples = self._samples
+        cycles = len(samples)
+        occupancy: dict[str, float] = {}
+        for name, column in zip(OCCUPANCY_STRUCTURES, zip(*samples)):
+            # Counter keeps first-seen order, so each histogram's keys
+            # arrive in the order per-cycle recording would give them.
+            hist = self.histograms[name]
+            for value, count in Counter(column).items():
+                hist.record(value, count)
+            occupancy[name] = sum(column) / cycles
         deltas: dict[str, float] = {}
         stats = self.stats
         for name in self.counters:
@@ -162,13 +167,11 @@ class IntervalMetrics(Probe):
             cycles=cycles,
             committed=committed - self._committed_at_close,
             counters=deltas,
-            occupancy={name: self._occ_sums[index] / cycles
-                       for index, name in enumerate(OCCUPANCY_STRUCTURES)},
+            occupancy=occupancy,
         ))
         self._committed_at_close = committed
         self._start_cycle += cycles
-        self._cycles = 0
-        self._occ_sums = [0] * len(OCCUPANCY_STRUCTURES)
+        self._samples = []
 
     # ------------------------------------------------------------------
     @property

@@ -10,14 +10,18 @@
 * **Cache.**  Sweeping one trace over several configurations derives
   the geometry-independent arrays once, and the fast loop never builds
   a loaded trace's rows.
+* **Memory.**  The derived arrays stay within a bytes-per-record budget
+  at one geometry and for a second one.
 * **Corrupt cache entries** are rebuilt, and the rebuilt trace times
   identically.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +54,9 @@ def _reference_precompute(trace, line_shift, chunk_shift, line_size,
                           fetch_bytes):
     """The record-walking precompute the columnar one replaced, kept
     as the reference: it reads the instruction back-reference when a
-    record has one and the persisted timing hints otherwise."""
+    record has one and the persisted timing hints otherwise.  Each
+    dependence is coded ``(consumer - producer) << 1 | is_data`` and
+    equal plans share one tuple."""
     n = len(trace)
     opcs = tuple(OpClass)
     r_opc, r_kind, r_jdec, r_block = [0] * n, [0] * n, [False] * n, [0] * n
@@ -58,6 +64,7 @@ def _reference_precompute(trace, line_shift, chunk_shift, line_size,
     r_prod: list[tuple] = [()] * n
     r_is_prod = [False] * n
     last_writer: dict = {}
+    plans: dict = {}
     for i, record in enumerate(trace):
         r_opc[i] = opcs.index(record.opclass)
         r_block[i] = record.pc // fetch_bytes
@@ -84,14 +91,14 @@ def _reference_precompute(trace, line_shift, chunk_shift, line_size,
                         for pos, reg in enumerate(record.sources)]
         else:
             deps = [(reg, False) for reg in record.sources]
-        prods = []
+        plan = []
         for reg, is_data in deps:
             producer = last_writer.get(reg)
             if producer is not None:
-                prods.append((producer, is_data))
+                plan.append((i - producer) << 1 | is_data)
                 r_is_prod[producer] = True
-        if prods:
-            r_prod[i] = tuple(prods)
+        plan = tuple(plan)
+        r_prod[i] = plans.setdefault(plan, plan)
         if record.dest is not None:
             last_writer[record.dest] = i
         serializes = record.serializes if instr is None else \
@@ -106,14 +113,10 @@ def _reference_precompute(trace, line_shift, chunk_shift, line_size,
         elif record.next_pc != record.pc + 4 or \
                 record.opclass is OpClass.SYSTEM and serializes:
             r_kind[i] = 3
-    r_proto = [[i, i, r_opc[i], r.is_load, r.is_store, 0, False, -1, 0, 0,
-                [], 0, 0, False, r_line[i], r_chunk[i], r_mask[i], False,
-                0, 0, -1, False, False, False, False, -1]
-               for i, r in enumerate(trace)]
     return (r_opc, r_kind, r_jdec, [r.pc for r in trace],
             [r.next_pc for r in trace], [r.taken for r in trace], r_block,
             [r.is_load for r in trace], [r.is_store for r in trace],
-            r_line, r_chunk, r_mask, r_prod, r_is_prod, r_proto)
+            r_line, r_chunk, r_mask, r_prod, r_is_prod)
 
 
 def _geometry(config_name):
@@ -147,6 +150,8 @@ def _check_twins(records, monkeypatch, run=True):
         expected = _reference_precompute(records, *geometry)
         fresh_arrays = fastpath._precompute_cached(fresh, *geometry)
         assert _typed(fresh_arrays) == _typed(expected)
+        r_prod = fresh_arrays[12]
+        assert len(set(map(id, r_prod))) == len(set(r_prod)), "not interned"
         assert fastpath._precompute_cached(twin, *geometry) == fresh_arrays
         if run:
             slow = OoOCore(machine(config_name), fastpath=False).run(fresh)
@@ -259,6 +264,31 @@ def test_only_recent_traces_keep_derived_arrays():
         fastpath._precompute_cached(trace, *_geometry("1P"))
     assert "fastpath" not in traces[0].derived
     assert all("fastpath" in trace.derived for trace in traces[1:])
+
+
+def test_precompute_memory_budget(monkeypatch):
+    """Bytes per record the derived arrays hold on a fresh qsort@small
+    trace: at most about half of the prototype-uop layout's 676 at one
+    geometry and 389 for a second (about 231 and 85 now)."""
+    spec = suite.WORKLOADS["qsort"]
+    trace = _records(spec.source(**spec.params("small")))
+    narrow, wide = _geometry("1P"), _geometry("1P-wide+LB+SC")
+    monkeypatch.setattr(fastpath, "_recent_traces", [])
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fastpath._precompute_cached(trace, *narrow)
+        one = tracemalloc.get_traced_memory()[0]
+        fastpath._precompute_cached(trace, *wide)
+        two = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (one - start) / len(trace) <= 340
+    assert (two - one) / len(trace) <= 195
 
 
 def test_loaded_rows_span_chunks_and_match():
